@@ -142,11 +142,7 @@ def simulate(z0: complex, direction: complex, max_events: int,
         raise ValueError("billiards start anywhere in K except the center")
     if loc.kind == "exterior":
         raise ValueError(f"start {z0} lies outside the star")
-    pairing = edge_pairing(star)
-    pair_m = {}
-    for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
-        pair_m[e0] = m
-        pair_m[e1] = m
+    pair_m = edge_pairing(star).reflection_of_edge
 
     state = BilliardState(z0, direction)
     segments: list[Segment] = []

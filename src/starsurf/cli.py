@@ -110,21 +110,22 @@ def cmd_genus(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    settings = load_settings(args.config)
-    p0 = SheetedPoint(args.xi, args.sheet)
+    rule = load_settings(args.config).rule
+    p = SheetedPoint(args.xi, args.sheet)
     direction = cmath.exp(1j * args.theta)
     n = max(2, args.samples)
     samples = []
     try:
+        # march from each sample to the next rather than re-integrating from p0
         for i in range(n + 1):
-            t = args.t * i / n
-            p = mt.flow(p0, t, steps=max(8, args.steps // n), direction=direction) \
-                if t else p0
+            if i:
+                p = mt.flow(p, args.t / n, steps=max(8, args.steps // n),
+                            direction=direction, rule=rule)
             samples.append({
-                "t": t,
+                "t": args.t * i / n,
                 "xi": _c2l(p.xi),
                 "sheet": p.sheet,
-                "delta": _c2l(mt.delta(p, settings.rule)),
+                "delta": _c2l(mt.delta(p, rule)),
             })
         status = 0
     except mt.LeftDomain as exc:

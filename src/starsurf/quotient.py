@@ -91,6 +91,7 @@ class EdgePairing:
 
     pairs: tuple[tuple[int, int], ...]         # (eid, partner eid), eid < partner
     reflection_of_pair: tuple[int, ...]        # index m of the pairing T_m
+    reflection_of_edge: tuple[int, ...]        # m of T_m(E) for each edge id E
     unordered_orbits: tuple[tuple[int, ...], ...]   # R-orbits on pair indices
     ordered_orbits: tuple[tuple[int, ...], ...]     # R-orbits on ordered pairs
 
@@ -165,6 +166,7 @@ def edge_pairing(star: StarPolygon | None = None) -> EdgePairing:
     return EdgePairing(
         pairs=pairs,
         reflection_of_pair=refl_of_pair,
+        reflection_of_edge=tuple(partner_m[e] for e in range(10)),
         unordered_orbits=unordered,
         ordered_orbits=ordered,
     )

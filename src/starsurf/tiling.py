@@ -10,6 +10,11 @@ hold exactly, since R^l u_k = u_{(k+2l) mod 5}.  The full motion group is
 generated by the dihedral rotations/reflections about the star center
 together with these translations; elements act as z -> R^j U^l z + t.
 
+Lattice points are exact.  2 u_k = eps^{3k}, so every translation, center
+and star vertex lies in the cyclotomic ring Z[eps] and is stored as an
+integer word (l_0..l_4) with value sum l_k 2 u_k.  Since sum u_k = 0, words
+are taken modulo the all-ones word: a point's key is (l_k - l_4 for k < 4).
+
 The checks here are sampled, word-length-bounded shadows of the structural
 claims: vertex-set invariance, freeness on generic points, transitivity on
 star copies, disk coverage, and the fundamental-domain property.  The
@@ -20,11 +25,12 @@ non-unique, and the checks report every carrier they find.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from operator import add
 
 from .geometry import EPSILON, StarPolygon, TOL_GEO, build_star, point_location
 from .quotient import build_reflections, edge_pairing
@@ -90,14 +96,6 @@ def tau(k: int) -> MotionGroupElement:
     return MotionGroupElement(0, 0, 2 * u_vector(k))
 
 
-def rotation(j: int = 1) -> MotionGroupElement:
-    return MotionGroupElement(j, 0, 0.0)
-
-
-def reflection_u() -> MotionGroupElement:
-    return MotionGroupElement(0, 1, 0.0)
-
-
 def multiply(g1: MotionGroupElement, g2: MotionGroupElement) -> MotionGroupElement:
     """Composition g1 after g2 as affine maps.
 
@@ -133,37 +131,85 @@ class TilingPatch:
 
 
 def _lattice_words(depth: int, include_inverses: bool = True):
-    rng = range(-depth, depth + 1) if include_inverses else range(depth + 1)
-    for word in itertools.product(rng, repeat=5):
-        if sum(abs(l) for l in word) <= depth:
-            yield word
+    """Words (l_0..l_4) with sum |l_k| <= depth, in lexicographic order."""
+    def extend(prefix: tuple[int, ...], budget: int):
+        if len(prefix) == 5:
+            yield prefix
+        else:
+            for l in range(-budget if include_inverses else 0, budget + 1):
+                yield from extend(prefix + (l,), budget - abs(l))
+    return extend((), depth)
 
 
-def generate_patch(depth: int, include_inverses: bool = True,
-                   star: StarPolygon | None = None) -> TilingPatch:
+def _cost(word: tuple[int, ...]) -> int:
+    return sum(map(abs, word))
+
+
+def _key(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact key of a word's lattice point: the word modulo the all-ones word."""
+    return tuple(l - word[4] for l in word[:4])
+
+
+@lru_cache(maxsize=1)
+def _two_u() -> tuple[complex, ...]:
+    return tuple(2 * u_vector(k) for k in range(5))
+
+
+def _word_value(word: tuple[int, ...]) -> complex:
+    """Float value sum l_k 2 u_k of a word, or of a key (whose l_4 is 0)."""
+    return sum(l * v for l, v in zip(word, _two_u()))
+
+
+def _word_rotate(word: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Index action of R^j on lattice words: R u_k = u_{(k+2) mod 5}."""
+    return tuple(word[(k - 2 * j) % 5] for k in range(5))
+
+
+def _word_conjugate(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Index action of U: U u_k = u_{(-k) mod 5}."""
+    return tuple(word[(-k) % 5] for k in range(5))
+
+
+def _word_act(j: int, ell: int, word: tuple[int, ...]) -> tuple[int, ...]:
+    """Index action of R^j U^ell on lattice words."""
+    return _word_rotate(_word_conjugate(word) if ell else word, j)
+
+
+#: words of the center and the ten star vertices in build_star order: vertex
+#: 2k is eps^k a with a = eps + eps^4 = 2u_2 + 2u_3, vertex 2k+1 is
+#: eps^k (1 + eps) with 1 + eps = 2u_0 + 2u_2
+BASE_WORDS = ((0,) * 5,) + tuple(_word_rotate(w, k) for k in range(5)
+                                 for w in ((0, 0, 1, 1, 0), (1, 0, 1, 0, 0)))
+
+
+def _shortest_words(depth: int, include_inverses: bool = True
+                    ) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Key -> shortest word (lexicographically first on ties) over the ball."""
+    best: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for word in _lattice_words(depth, include_inverses):
+        key = _key(word)
+        old = best.get(key)
+        if old is None or _cost(word) < _cost(old):
+            best[key] = word
+    return best
+
+
+def generate_patch(depth: int, include_inverses: bool = True) -> TilingPatch:
+    """Patch of build_star() copies; its vertices are the BASE_WORDS."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > 6:
         raise ValueError("desk-scale patches stop at depth 6")
-    if star is None:
-        star = build_star()
-    two_u = [2 * u_vector(k) for k in range(5)]
-    seen: dict[tuple[int, int], tuple[complex, tuple[int, ...]]] = {}
-    for word in _lattice_words(depth, include_inverses):
-        c = sum(l * v for l, v in zip(word, two_u))
-        key = (round(c.real * 1e9), round(c.imag * 1e9))
-        old = seen.get(key)
-        if old is None or sum(map(abs, word)) < sum(map(abs, old[1])):
-            seen[key] = (c, word)
-    items = sorted(seen.values(), key=lambda cw: (abs(cw[0]), cw[0].real, cw[0].imag))
-    centers = tuple(c for c, _ in items)
-    words = tuple(w for _, w in items)
+    items = sorted(((_word_value(w), w)
+                    for w in _shortest_words(depth, include_inverses).values()),
+                   key=lambda cw: (abs(cw[0]), cw[0].real, cw[0].imag))
+    centers, words = zip(*items)
 
-    vset: dict[tuple[int, int], complex] = {}
-    for c in centers:
-        for v in (0.0,) + star.vertices:
-            p = c + v
-            vset[(round(p.real * 1e9), round(p.imag * 1e9))] = p
+    base = (0.0,) + build_star().vertices
+    vset: dict[tuple[int, ...], complex] = {}
+    for c, word in items:
+        for v, vword in zip(base, BASE_WORDS):
+            vset[_key(tuple(map(add, word, vword)))] = c + v
     vpoints = tuple(sorted(vset.values(), key=lambda p: (abs(p), p.real, p.imag)))
     return TilingPatch(depth=depth, centers=centers, words=words, vpoints=vpoints)
 
@@ -183,48 +229,21 @@ def copies_containing(z: complex, patch: TilingPatch,
     return out
 
 
-def _group_elements(word_length: int, with_reflections: bool,
-                    translations: list[tuple[complex, int, tuple[int, ...]]]):
-    """Elements (j, ell, t) with rotation letters + translation letters <= L."""
-    for j in range(5):
-        rot_cost = min(j, 5 - j)
-        ells = (0, 1) if with_reflections else (0,)
-        for ell in ells:
-            budget = word_length - rot_cost - ell
-            if budget < 0:
-                continue
-            for t, cost, _word in translations:
-                if cost <= budget:
-                    yield MotionGroupElement(j, ell, t)
-
-
 def _translation_values(word_length: int) -> list[tuple[complex, int, tuple[int, ...]]]:
     """Distinct translation values with their cost and a witnessing word."""
-    two_u = [2 * u_vector(k) for k in range(5)]
-    best: dict[tuple[int, int], tuple[complex, int, tuple[int, ...]]] = {}
-    for word in _lattice_words(word_length):
-        c = sum(l * v for l, v in zip(word, two_u))
-        cost = sum(map(abs, word))
-        key = (round(c.real * 1e9), round(c.imag * 1e9))
-        if key not in best or cost < best[key][1]:
-            best[key] = (c, cost, word)
-    return list(best.values())
+    return [(_word_value(w), _cost(w), w) for w in _shortest_words(word_length).values()]
 
 
-def _word_rotate(word: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Index action of R^j on lattice words: R u_k = u_{(k+2) mod 5}."""
-    out = [0] * 5
-    for k, l in enumerate(word):
-        out[(k + 2 * j) % 5] += l
-    return tuple(out)
-
-
-def _word_conjugate(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Index action of U: U u_k = u_{(-k) mod 5}."""
-    out = [0] * 5
-    for k, l in enumerate(word):
-        out[(-k) % 5] += l
-    return tuple(out)
+def _group_elements(word_length: int,
+                    translations: list[tuple[complex, int, tuple[int, ...]]]):
+    """Triples (j, ell, i) standing for (R^j U^ell, translations[i]), with
+    rotation, reflection and translation letters <= L."""
+    for j in range(5):
+        for ell in (0, 1):
+            budget = word_length - min(j, 5 - j) - ell
+            for i, (_t, cost, _word) in enumerate(translations):
+                if cost <= budget:
+                    yield j, ell, i
 
 
 def invariance_freeness_checks(samples: int = 200, seed: int = 0,
@@ -245,52 +264,41 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     patch = generate_patch(depth)
 
     translations = _translation_values(word_length)
-    word_of_t = {(round(t.real * 1e9), round(t.imag * 1e9)): w
-                 for t, _c, w in translations}
-    elements = list(_group_elements(word_length, True, translations))
+    elements = list(_group_elements(word_length, translations))
     rng.shuffle(elements)
-    elements = [g for g in elements if not g.is_identity][:element_sample]
+    # the first nonidentity elements, each with its translation word
+    picked = ((j, ell, *translations[i]) for j, ell, i in elements)
+    elements = list(islice(((MotionGroupElement(j, ell, t), word)
+                            for j, ell, t, cost, word in picked if j or ell or cost),
+                           element_sample))
 
-    # V+ membership with an exact witness: a vpoint is lattice + base vertex,
-    # the group permutes the base vertices and acts on lattice words by the
-    # index laws, so the image's representation is reconstructed and checked.
+    # V+ membership with an exact witness: a vpoint is a lattice word plus a
+    # base vertex word, the group acts on both by the index laws, so the
+    # image's word is predicted exactly and checked against the float image.
     base_vertices = (0.0 + 0.0j,) + star.vertices
-    two_u = [2 * u_vector(k) for k in range(5)]
-
-    def lattice_point(word: tuple[int, ...]) -> complex:
-        return sum(l * v for l, v in zip(word, two_u))
-
     # the rotation and the reflection both permute the base vertex set
-    for gen in (lambda z: EPSILON * z, lambda z: z.conjugate()):
-        for v in base_vertices:
-            if not any(abs(gen(v) - w) < 1e-12 for w in base_vertices):
-                raise CheckFailure(f"base vertex set is not symmetric at {v}")
+    base_keys = {_key(w) for w in BASE_WORDS}
+    if any({_key(_word_rotate(w, 1)), _key(_word_conjugate(w))} - base_keys
+           for w in BASE_WORDS):
+        raise CheckFailure("base vertex set is not symmetric")
 
     vsamples = [(rng.randrange(len(patch.centers)), rng.randrange(len(base_vertices)))
                 for _ in range(samples)]
     checked = 0
-    for g in elements:
-        gt_key = (round(g.t.real * 1e9), round(g.t.imag * 1e9))
-        t_word = word_of_t[gt_key]
+    for g, t_word in elements:
         for ci, bi in vsamples:
             v = patch.centers[ci] + base_vertices[bi]
             w = g(v)
-            # image word: rotate/conjugate the center word, add the element's
-            cword = patch.words[ci]
-            if g.ell:
-                cword = _word_conjugate(cword)
-            cword = _word_rotate(cword, g.j)
-            word = tuple(a + b for a, b in zip(cword, t_word))
-            base_img = EPSILON ** g.j * (base_vertices[bi].conjugate()
-                                         if g.ell else base_vertices[bi])
-            vb = min(base_vertices, key=lambda b: abs(b - base_img))
-            predicted = lattice_point(word) + vb
+            vword = tuple(map(add, patch.words[ci], BASE_WORDS[bi]))
+            predicted = _word_value(tuple(map(add, _word_act(g.j, g.ell, vword), t_word)))
             if abs(w - predicted) > 1e-9:
                 raise CheckFailure(f"invariance: {g} maps vpoint {v} to {w}, "
                                    f"not a V+ point")
             checked += 1
 
-    # freeness: z fixed by (R^j U^l, t) iff t = z - R^j U^l z; exact lookup
+    # freeness: z fixed by (R^j U^l, t) iff t = z - R^j U^l z.  z is a random
+    # float point, so t_needed has no word to key by: this lookup alone
+    # matches translations by value, rounded to 1e-9.
     tkeys = {(round(t.real * 1e9), round(t.imag * 1e9)) for t, _c, _w in translations}
     fixers = 0
     for _ in range(samples):
@@ -316,14 +324,13 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     for i0, i1 in pairs:
         w0, w1 = patch.words[i0], patch.words[i1]
         word = tuple(b - a for a, b in zip(w0, w1))
-        shift = sum(l * 2 * u_vector(k) for k, l in enumerate(word))
-        if abs(patch.centers[i0] + shift - patch.centers[i1]) > 1e-9:
+        if abs(patch.centers[i0] + _word_value(word) - patch.centers[i1]) > 1e-9:
             raise CheckFailure(f"transitivity: word {word} fails for {i0}->{i1}")
 
     # discreteness shadow of properness: orbit points of a sample under the
     # element list keep a positive minimum pairwise distance
     z0 = 0.31 + 0.17j
-    orbit = sorted({(round(g(z0).real, 9), round(g(z0).imag, 9)) for g in elements})
+    orbit = sorted((p.real, p.imag) for p in (g(z0) for g, _w in elements))
     min_gap = min((math.dist(p, q) for p, q in zip(orbit, orbit[1:])), default=1.0)
 
     return {
@@ -342,7 +349,7 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     """Carrier search into the closed star for sampled plane points.
 
     For each sample z (off the vertex set) every rotation-translation
-    element g with g(z) in the closed punctured star is collected.  Reports
+    element g with g(z) in the closed punctured star is a carrier.  Reports
     existence (every sample has a carrier) and the number of distinct
     interior images; boundary samples are checked to have exactly the two
     edge-pairing representatives x and T_m(x).
@@ -357,47 +364,31 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     translations = _translation_values(word_length)
     refl = build_reflections()
     pairing = edge_pairing(star)
-    pair_m = {}
-    for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
-        pair_m[e0] = m
-        pair_m[e1] = m
-
-    def carriers(z: complex) -> list[tuple[MotionGroupElement, complex]]:
-        found = []
-        for j in range(5):
-            base = EPSILON ** j * z
-            for t, _cost, _word in translations:
-                w = base + t
-                if abs(w) > 1.7:
-                    continue
-                loc = point_location(w, star)
-                if loc.kind not in ("exterior", "center"):
-                    found.append((MotionGroupElement(j, 0, t), w))
-        return found
 
     existence_fail = []
-    interior_unique = 0
-    interior_multi = 0
     multiplicities = []
     for _ in range(samples):
         z = complex(rng.uniform(-disk_radius, disk_radius),
                     rng.uniform(-disk_radius, disk_radius))
         if abs(z) > disk_radius or any(abs(z - p) < 1e-6 for p in patch.vpoints):
             continue
-        got = carriers(z)
-        if not got:
+        # carriers are distinct (j, t) pairs: one rotation's images differ by
+        # distinct translations (>= 0.09 apart), two rotations' images meet
+        # only for non-generic z, so each interior carrier is its own image
+        carried = images = 0
+        for j in range(5):
+            base = EPSILON ** j * z
+            for t, _cost, _word in translations:
+                w = base + t
+                if abs(w) > 1.7:
+                    continue
+                kind = point_location(w, star).kind
+                carried += kind not in ("exterior", "center")
+                images += kind == "interior"
+        if not carried:
             existence_fail.append(z)
             continue
-        images = []
-        for _g, w in got:
-            if point_location(w, star).kind == "interior":
-                if not any(abs(w - im) < 1e-9 for im in images):
-                    images.append(w)
-        multiplicities.append(len(images))
-        if len(images) == 1:
-            interior_unique += 1
-        elif len(images) > 1:
-            interior_multi += 1
+        multiplicities.append(images)
 
     if existence_fail:
         raise CheckFailure(f"no carrier found for {existence_fail[:3]} ...")
@@ -407,7 +398,7 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     for eid in range(10):
         p, q = star.edge_endpoints(eid)
         x = p + rng.uniform(0.2, 0.8) * (q - p)
-        y = refl[pair_m[eid]](x)
+        y = refl[pairing.reflection_of_edge[eid]](x)
         if point_location(y, star).kind != "edge":
             raise CheckFailure(f"pairing image of {x} is not a boundary point")
         boundary_ok += 1
@@ -415,8 +406,8 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     return {
         "samples": len(multiplicities),
         "existence_failures": 0,
-        "interior_unique": interior_unique,
-        "interior_multi": interior_multi,
+        "interior_unique": sum(m == 1 for m in multiplicities),
+        "interior_multi": sum(m > 1 for m in multiplicities),
         "max_multiplicity": max(multiplicities) if multiplicities else 0,
         "boundary_pairs_checked": boundary_ok,
     }

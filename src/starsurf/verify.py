@@ -1,22 +1,24 @@
 """Acceptance checks: every quantitative claim, each with an independent
 oracle, run deterministically and reported as a ledger.
 
-Each check returns a CheckResult; run_verify executes the registry (in
-canonical id order, optionally filtered by module) and wraps the results.
-Two checks are expected to fail and say so in their notes: the edge-pair
-orbit sizes (a cyclic group of order 5 cannot have orbits of sizes 3 and 2)
-and fundamental-domain uniqueness (the translation group contains
-golden-ratio contractions, so interior carriers are not unique).
+Each check registers under its module and returns a CheckResult; run_verify
+executes the registry (in canonical id order, optionally only one module's
+checks) and wraps the results.  Two checks are expected to fail and say so
+in their notes: the edge-pair orbit sizes (a cyclic group of order 5 cannot
+have orbits of sizes 3 and 2) and fundamental-domain uniqueness (the
+translation group contains golden-ratio contractions, so interior carriers
+are not unique).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import billiards as bl
 from . import covering as cov
@@ -56,15 +58,35 @@ class VerifyLedger:
         }, indent=2)
 
 
-def _result(check_id, claim, module, passed, measured, tolerance, t0, note=""):
-    return CheckResult(check_id, claim, module, bool(passed), str(measured),
-                       str(tolerance), time.perf_counter() - t0, note)
+def _result(check_id, claim, passed, measured, tolerance, note=""):
+    """A check's result; the registry wrapper stamps its module and runtime."""
+    return CheckResult(check_id, claim, "", bool(passed), str(measured),
+                       str(tolerance), 0.0, note)
+
+
+#: the check registry in canonical order; each entry carries its ``module``
+#: so that run_verify can select checks without calling them
+CHECKS: list = []
+
+
+def _check(module: str):
+    """Register a check under its module; the wrapper times each call."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            result = fn(*args, **kwargs)
+            return replace(result, module=module, runtime_s=time.perf_counter() - t0)
+        run.module = module
+        CHECKS.append(run)
+        return run
+    return register
 
 
 # ---------------------------------------------------------------- criterion 1
 
+@_check("geometry_core")
 def check_triangle_identity() -> CheckResult:
-    t0 = time.perf_counter()
     tri = build_triangle()
     res = max(
         abs(tri.c - 2 * math.sin(math.pi / 5)),
@@ -77,14 +99,14 @@ def check_triangle_identity() -> CheckResult:
     exact = (tri.alpha_frac, tri.beta_frac, tri.gamma_frac) == \
         tuple(__import__("fractions").Fraction(n, 10) for n in (1, 7, 2))
     return _result("01-triangle", "sides (a,b,c) and angles (pi/10, 7pi/10, pi/5) of the rational triangle",
-                   "geometry_core", res < 1e-12 and exact and tri.b > tri.a,
-                   f"max residual {res:.2e}", "1e-12", t0)
+                   res < 1e-12 and exact and tri.b > tri.a,
+                   f"max residual {res:.2e}", "1e-12")
 
 
 # ---------------------------------------------------------------- criterion 2
 
+@_check("geometry_core")
 def check_star_collinearity() -> CheckResult:
-    t0 = time.perf_counter()
     star = build_star()
     A = complex(INNER_RADIUS, 0)
     Ap = INNER_RADIUS * EPSILON
@@ -110,15 +132,15 @@ def check_star_collinearity() -> CheckResult:
     ok = res_angles < 1e-12 and res_lines < 1e-12 and n_lines == 5
     return _result("02-star-collinearity",
                    "edge collinearity angle sums equal pi; 10 edges lie on 5 lines",
-                   "geometry_core", ok,
+                   ok,
                    f"angle residual {res_angles:.2e}, line residual {res_lines:.2e}",
-                   "1e-12", t0)
+                   "1e-12")
 
 
 # ---------------------------------------------------------------- criterion 3
 
+@_check("conformal_map")
 def check_normalization() -> CheckResult:
-    t0 = time.perf_counter()
     k = compute_k()
     fine = QuadratureRule(nodes_per_panel=96, target_abs_err=1e-13)
     from .conformal import MU, _inv_eta
@@ -127,14 +149,14 @@ def check_normalization() -> CheckResult:
           + panel(_inv_eta, half, INNER_RADIUS, mu1=MU[INNER_RADIUS], rule=fine))
     res = abs(k * Fa - INNER_RADIUS)
     return _result("03-normalization", "k * F(a) = a with k real positive",
-                   "conformal_map", res < 1e-10 and k > 0,
-                   f"residual {res:.2e}, k = {k:.12f}", "1e-10", t0)
+                   res < 1e-10 and k > 0,
+                   f"residual {res:.2e}, k = {k:.12f}", "1e-10")
 
 
 # ---------------------------------------------------------------- criterion 4
 
+@_check("conformal_map")
 def check_map_endpoints() -> CheckResult:
-    t0 = time.perf_counter()
     B = OUTER_RADIUS * cmath.exp(1j * math.pi / 5)
     res_pts = max(
         abs(F_T(0.0)),
@@ -149,15 +171,15 @@ def check_map_endpoints() -> CheckResult:
     ok = res_pts < 1e-6 and res_ang < 1e-3
     return _result("04-map-endpoints",
                    "triangle map sends 0, a, b to the corners O, A, B with the right angles",
-                   "conformal_map", ok,
+                   ok,
                    f"corner residual {res_pts:.2e}, angle residual {res_ang:.2e}",
-                   "1e-6 (corners), 1e-3 rad (angles)", t0)
+                   "1e-6 (corners), 1e-3 rad (angles)")
 
 
 # ---------------------------------------------------------------- criterion 5
 
+@_check("covering_surface")
 def check_monodromy() -> CheckResult:
-    t0 = time.perf_counter()
     expected = {"0": 8, "a": 3, "b": 9}
     ok = True
     detail = []
@@ -173,13 +195,13 @@ def check_monodromy() -> CheckResult:
         detail.append(f"inf@r={r}:{'id' if perm.is_identity else perm.images}")
     return _result("05-monodromy",
                    "continuation shifts (+8, +3, +9) at (0, a, b); identity at infinity",
-                   "covering_surface", ok, "; ".join(detail), "exact match", t0)
+                   ok, "; ".join(detail), "exact match")
 
 
 # ---------------------------------------------------------------- criterion 6
 
+@_check("covering_surface")
 def check_genus_twice() -> CheckResult:
-    t0 = time.perf_counter()
     reports = cov.ramification_report()
     r = cov.total_ramification(reports)
     g_rh = cov.genus_riemann_hurwitz(reports)
@@ -187,15 +209,15 @@ def check_genus_twice() -> CheckResult:
     ok = (r == 26 and g_rh == 4 and chi == -6 and g_tri == 4 and g_rh == g_tri)
     return _result("06-genus-twice",
                    "total ramification 26 gives genus 4; quotient census chi = -6 gives genus 4",
-                   "covering_surface", ok,
+                   ok,
                    f"r = {r}, g_rh = {g_rh}, chi = {chi}, g_tri = {g_tri}",
-                   "exact", t0)
+                   "exact")
 
 
 # ---------------------------------------------------------------- criterion 7
 
+@_check("flat_metric_dynamics")
 def check_isometry_straightening(seed: int = 11) -> CheckResult:
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     res_unit = 0.0
     for _ in range(100):
@@ -226,16 +248,16 @@ def check_isometry_straightening(seed: int = 11) -> CheckResult:
     ok = res_unit < 1e-8 and res_flow < 1e-6 and res_dir < 1e-6
     return _result("07-isometry-straightening",
                    "unit field has metric norm 1; developed flows advance linearly in every direction",
-                   "flat_metric_dynamics", ok,
+                   ok,
                    f"norm residual {res_unit:.2e}, flow residual {res_flow:.2e}, "
                    f"rotated residual {res_dir:.2e}",
-                   "1e-8 (norm), 1e-6 (flows)", t0)
+                   "1e-8 (norm), 1e-6 (flows)")
 
 
 # ---------------------------------------------------------------- criterion 8
 
+@_check("billiards")
 def check_billiards(seed: int = 5) -> CheckResult:
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     star = build_star()
 
@@ -281,24 +303,24 @@ def check_billiards(seed: int = 5) -> CheckResult:
           and res_equiv < 1e-9 and res_dev < 1e-8)
     return _result("08-billiards",
                    "reflection involutive, speed 1, vertex reversal, rotation equivariance, straight unfolding",
-                   "billiards", ok,
+                   ok,
                    f"involution {res_invol:.2e}, speed {res_speed:.2e}, "
                    f"equivariance {res_equiv:.2e}, development {res_dev:.2e}",
-                   "1e-9 (equivariance), 1e-8 (development)", t0)
+                   "1e-9 (equivariance), 1e-8 (development)")
 
 
 # ---------------------------------------------------------------- criterion 9
 
+@_check("quotient_surface")
 def check_quotient_cells() -> CheckResult:
-    t0 = time.perf_counter()
     census = qt.triangulate()
     counts = (len(census.faces), len(census.edges), len(census.vertices))
     return _result("09a-quotient-cells", "triangulation has 10 faces, 20 edges, 10 vertices",
-                   "quotient_surface", counts == (10, 20, 10), str(counts), "exact", t0)
+                   counts == (10, 20, 10), str(counts), "exact")
 
 
+@_check("quotient_surface")
 def check_pairing_orbits() -> CheckResult:
-    t0 = time.perf_counter()
     pairing = qt.edge_pairing()
     sizes = pairing.unordered_orbit_sizes
     ok = sorted(sizes) == [2, 3]
@@ -306,47 +328,47 @@ def check_pairing_orbits() -> CheckResult:
             "chord pairs form a single orbit of size 5, so the expected "
             "sizes {3, 2} are unattainable")
     return _result("09b-pairing-orbits", "edge-pair orbits have sizes {3, 2}",
-                   "quotient_surface", ok, f"measured sizes {sizes}",
-                   "exact", t0, note=note)
+                   ok, f"measured sizes {sizes}",
+                   "exact", note=note)
 
 
+@_check("quotient_surface")
 def check_interior_edge_orbits() -> CheckResult:
-    t0 = time.perf_counter()
     census = qt.triangulate()
     n = len(census.oriented_edge_orbits)
     sizes = sorted(len(o) for o in census.oriented_edge_orbits)
     return _result("09c-interior-edge-orbits",
                    "eight orientation-labeled edge-class orbits of size 5",
-                   "quotient_surface", n == 8 and sizes == [5] * 8,
-                   f"{n} orbits, sizes {sizes}", "exact", t0)
+                   n == 8 and sizes == [5] * 8,
+                   f"{n} orbits, sizes {sizes}", "exact")
 
 
+@_check("quotient_surface")
 def check_cone_angles() -> CheckResult:
-    t0 = time.perf_counter()
     census = qt.triangulate()
     inner = census.cone_angles.get("inner", 0.0)
     outer = census.cone_angles.get("outer", 0.0)
     ok = (abs(inner - 7 * math.pi / 5) < 1e-12 and abs(outer - math.pi / 5) < 1e-12)
     return _result("09d-cone-angles",
                    "cone angles 7pi/5 and pi/5 recorded at the two quotient vertices",
-                   "quotient_surface", ok,
-                   f"inner {inner:.12f}, outer {outer:.12f}", "1e-12", t0)
+                   ok,
+                   f"inner {inner:.12f}, outer {outer:.12f}", "1e-12")
 
 
 # --------------------------------------------------------------- criterion 10
 
+@_check("affine_tiling")
 def check_apothem() -> CheckResult:
-    t0 = time.perf_counter()
     val = tl.apothem()
     res = abs(val - 0.5)
     shift = abs(tl.tau(0)(0) - 1.0)
     return _result("10a-apothem", "apothem is exactly 1/2; |2 u_k| = 1",
-                   "affine_tiling", res < 1e-12 and shift < 1e-12,
-                   f"apothem {val!r}, |tau_0(0) - 1| = {shift:.2e}", "1e-12", t0)
+                   res < 1e-12 and shift < 1e-12,
+                   f"apothem {val!r}, |tau_0(0) - 1| = {shift:.2e}", "1e-12")
 
 
+@_check("affine_tiling")
 def check_commutation() -> CheckResult:
-    t0 = time.perf_counter()
     rng = random.Random(2)
     worst = 0.0
     for k in range(5):
@@ -358,23 +380,23 @@ def check_commutation() -> CheckResult:
                 worst = max(worst, abs(lhs - rhs))
     return _result("10b-commutation",
                    "tau_{(k+2l) mod 5} after R^l equals R^l after tau_k, all 25 pairs",
-                   "affine_tiling", worst < 1e-12, f"worst residual {worst:.2e}",
-                   "1e-12", t0)
+                   worst < 1e-12, f"worst residual {worst:.2e}",
+                   "1e-12")
 
 
+@_check("affine_tiling")
 def check_coverage() -> CheckResult:
-    t0 = time.perf_counter()
     try:
         rep = tl.coverage_check(samples=500, seed=1, depth=3)
         ok, measured = True, f"{rep['tested']} points covered"
     except tl.CheckFailure as exc:
         ok, measured = False, str(exc)
     return _result("10c-coverage", "depth-3 patch covers the sampled disk off the vertex set",
-                   "affine_tiling", ok, measured, "zero misses", t0)
+                   ok, measured, "zero misses")
 
 
+@_check("affine_tiling")
 def check_invariance_freeness() -> CheckResult:
-    t0 = time.perf_counter()
     try:
         rep = tl.invariance_freeness_checks(samples=200, seed=0, word_length=8)
         ok = True
@@ -386,11 +408,11 @@ def check_invariance_freeness() -> CheckResult:
         ok, measured = False, str(exc)
     return _result("10d-invariance-freeness",
                    "vertex-set invariance, freeness on samples, transitive on copies",
-                   "affine_tiling", ok, measured, "zero counterexamples", t0)
+                   ok, measured, "zero counterexamples")
 
 
+@_check("affine_tiling")
 def check_fundamental_domain_existence() -> CheckResult:
-    t0 = time.perf_counter()
     try:
         rep = tl.fundamental_domain_check(samples=200, seed=0, word_length=8)
         ok = rep["existence_failures"] == 0 and rep["boundary_pairs_checked"] == 10
@@ -401,11 +423,11 @@ def check_fundamental_domain_existence() -> CheckResult:
         ok, measured, note = False, str(exc), ""
     return _result("10e-fundamental-domain-existence",
                    "every sample has a carrier into the closed star; boundary points pair up",
-                   "affine_tiling", ok, measured, "zero failures", t0, note)
+                   ok, measured, "zero failures", note)
 
 
+@_check("affine_tiling")
 def check_fundamental_domain_uniqueness() -> CheckResult:
-    t0 = time.perf_counter()
     rep = tl.fundamental_domain_check(samples=200, seed=0, word_length=8)
     ok = rep["interior_multi"] == 0
     note = ("the translation group contains golden-ratio contractions "
@@ -416,30 +438,9 @@ def check_fundamental_domain_uniqueness() -> CheckResult:
                 f"{rep['interior_multi']}, max multiplicity "
                 f"{rep['max_multiplicity']}")
     return _result("10f-fundamental-domain-uniqueness",
-                   "interior carriers are unique", "affine_tiling", ok,
-                   measured, "exact", t0, note=note)
+                   "interior carriers are unique", ok,
+                   measured, "exact", note=note)
 
-
-CHECKS = [
-    check_triangle_identity,
-    check_star_collinearity,
-    check_normalization,
-    check_map_endpoints,
-    check_monodromy,
-    check_genus_twice,
-    check_isometry_straightening,
-    check_billiards,
-    check_quotient_cells,
-    check_pairing_orbits,
-    check_interior_edge_orbits,
-    check_cone_angles,
-    check_apothem,
-    check_commutation,
-    check_coverage,
-    check_invariance_freeness,
-    check_fundamental_domain_existence,
-    check_fundamental_domain_uniqueness,
-]
 
 #: criterion runtime budgets in seconds, keyed by id prefix
 RUNTIME_BUDGETS = {
@@ -452,11 +453,8 @@ EXPECTED_FAILURES = {"09b-pairing-orbits", "10f-fundamental-domain-uniqueness"}
 
 
 def run_verify(module: str | None = None) -> VerifyLedger:
-    ledger = VerifyLedger()
-    for fn in CHECKS:
-        result = fn()
-        if module is None or result.module == module:
-            ledger.entries.append(result)
+    ledger = VerifyLedger([fn() for fn in CHECKS
+                           if module is None or fn.module == module])
     ledger.entries.sort(key=lambda e: e.check_id)
     return ledger
 

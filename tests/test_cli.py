@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from starsurf import metric, verify
 from starsurf.cli import main
 
 
@@ -68,6 +70,31 @@ def test_flow_subcommand(capsys):
     assert abs(advance - 0.1) < 1e-5
 
 
+def test_flow_uses_the_configured_rule_and_marches(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "starsurf.cfg"
+    cfg.write_text("quad_nodes = 32\n")
+    calls = []
+    flow = metric.flow
+
+    def spy(p0, t, **kwargs):
+        calls.append((p0, t, kwargs))
+        return flow(p0, t, **kwargs)
+
+    monkeypatch.setattr(metric, "flow", spy)
+    code, out = run(capsys, "--config", str(cfg), "flow", "--xi", "1.1,0.9",
+                    "--t", "0.1", "--samples", "4")
+    assert code == 0
+    samples = json.loads(out)["samples"]
+    advance = complex(*samples[-1]["delta"]) - complex(*samples[0]["delta"])
+    assert abs(advance - 0.1) < 1e-5
+    # one flow per sample step, each from the previous sample, with the rule
+    assert len(calls) == 4
+    assert all(kw["rule"].nodes_per_panel == 32 for _p, _t, kw in calls)
+    assert all(abs(t - 0.025) < 1e-15 for _p, t, _kw in calls)
+    for (p, _t, _kw), prev in zip(calls, samples):
+        assert [p.xi.real, p.xi.imag] == prev["xi"] and p.sheet == prev["sheet"]
+
+
 def test_billiard_subcommand(tmp_path, capsys):
     svg = tmp_path / "traj.svg"
     code, out = run(capsys, "billiard", "--z0", "0.05,0.13", "--theta", "0.53",
@@ -97,7 +124,16 @@ def test_quotient_subcommand(capsys):
     assert payload["unordered_pair_orbit_sizes"] == [5]
 
 
-def test_verify_module_filter(tmp_path, capsys):
+def test_verify_module_filter(tmp_path, capsys, monkeypatch):
+    called = []
+
+    def spy(fn):
+        def run():
+            called.append(fn.__name__)
+            return fn()
+        return functools.update_wrapper(run, fn)
+
+    monkeypatch.setattr(verify, "CHECKS", [spy(fn) for fn in verify.CHECKS])
     target = tmp_path / "ledger.json"
     code, out = run(capsys, "verify", "--module", "covering_surface",
                     "--json", str(target))
@@ -108,6 +144,8 @@ def test_verify_module_filter(tmp_path, capsys):
     assert "06-genus-twice" in ids
     assert all(e["module"] == "covering_surface" for e in ledger["entries"])
     assert "PASS" in out
+    # only the module's own checks ran
+    assert called == ["check_monodromy", "check_genus_twice"]
 
 
 def test_verify_full_run_reports_known_failures(tmp_path, capsys):

@@ -70,6 +70,14 @@ def test_edge_pairing_reflections_swap_partners():
                    abs(t(p) - s) + abs(t(q) - r)) < 1e-12
 
 
+def test_reflection_of_edge_agrees_with_pair_table():
+    pairing = edge_pairing(STAR)
+    assert len(pairing.reflection_of_edge) == 10
+    for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
+        assert pairing.reflection_of_edge[e0] == m
+        assert pairing.reflection_of_edge[e1] == m
+
+
 def test_edge_pair_orbits_measured_sizes():
     # the five chord pairs form one rotation orbit; ordered pairs form two.
     # orbit sizes under a cyclic group of order five divide five.

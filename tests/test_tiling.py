@@ -1,16 +1,21 @@
 import cmath
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsurf.geometry import EPSILON, INNER_RADIUS, build_star, point_location
 from starsurf.quotient import build_reflections, edge_pairing
-from starsurf.tiling import (MotionGroupElement, apothem, copies_containing,
-                             coverage_check, fundamental_domain_check,
-                             generate_patch, identity,
-                             invariance_freeness_checks, multiply, tau,
-                             u_vector)
+from starsurf.tiling import (BASE_WORDS, MotionGroupElement, _key,
+                             _lattice_words, _translation_values, _word_act,
+                             _word_conjugate, _word_rotate, _word_value,
+                             apothem, copies_containing, coverage_check,
+                             fundamental_domain_check, generate_patch,
+                             identity, invariance_freeness_checks, multiply,
+                             tau, u_vector)
 
 STAR = build_star()
 
@@ -215,3 +220,101 @@ def test_boundary_points_pair_under_the_identifying_reflection():
         y = refls[m](x)
         loc = point_location(y, STAR)
         assert loc.kind == "edge" and loc.index == e1
+
+
+# ------------------------------------------------- the exact Z[eps] lattice
+
+WORDS = st.tuples(*[st.integers(-8, 8)] * 5)
+BALL = st.sampled_from(list(_lattice_words(8)))
+ELEMENTS = st.tuples(st.integers(0, 4), st.integers(0, 1), WORDS)
+ZERO = (0,) * 5
+
+
+def _wmul(g1, g2):
+    """(R^j U^l, word) composition, g1 after g2, on integer words."""
+    (j1, l1, w1), (j2, l2, w2) = g1, g2
+    j = (j1 + j2) % 5 if l1 == 0 else (j1 - j2) % 5
+    return j, (l1 + l2) % 2, tuple(a + b for a, b in zip(_word_act(j1, l1, w2), w1))
+
+
+def _winv(g):
+    j, ell, w = g
+    j_inv = j if ell else -j % 5
+    return j_inv, ell, tuple(-l for l in _word_act(j_inv, ell, w))
+
+
+def _exact(g):
+    return g[0], g[1], _key(g[2])
+
+
+def _element(g):
+    return MotionGroupElement(g[0], g[1], _word_value(g[2]))
+
+
+@settings(deadline=None)
+@given(WORDS, st.integers(0, 4), st.integers(0, 1))
+def test_word_action_is_rotation_and_conjugation(w, j, ell):
+    image = _word_rotate(_word_conjugate(w) if ell else w, j)
+    z = _word_value(w)
+    expected = EPSILON ** j * (z.conjugate() if ell else z)
+    assert abs(_word_value(_key(image)) - expected) < 1e-12
+
+
+@settings(deadline=None)
+@given(BALL, BALL, st.integers(-8, 8))
+def test_equal_keys_iff_equal_values(w1, w2, shift):
+    # adding the all-ones word moves the word, not the point
+    w3 = tuple(l + shift for l in w1)
+    assert _key(w3) == _key(w1)
+    assert abs(_word_value(w3) - _word_value(w1)) < 1e-12
+    same_point = abs(_word_value(w1) - _word_value(w2)) < 1e-9
+    assert (_key(w1) == _key(w2)) == same_point
+
+
+@settings(deadline=None)
+@given(ELEMENTS, ELEMENTS, ELEMENTS)
+def test_word_group_laws_hold_exactly(g1, g2, g3):
+    assert _exact(_wmul(_wmul(g1, g2), g3)) == _exact(_wmul(g1, _wmul(g2, g3)))
+    unit = (0, 0, _key(ZERO))
+    assert _exact(_wmul(g1, _winv(g1))) == unit
+    assert _exact(_wmul(_winv(g1), g1)) == unit
+    # the word product is the float product of the public API
+    prod = multiply(_element(g1), _element(g2))
+    assert abs(_word_value(_wmul(g1, g2)[2]) - prod.t) < 1e-12
+
+
+def test_index_law_holds_exactly():
+    # tau_{(k+2l) mod 5} o R^l = R^l o tau_k as words, for every k and l
+    for k in range(5):
+        for ell in range(5):
+            tau_k = (0, 0, tuple(int(i == k) for i in range(5)))
+            tau_kl = (0, 0, tuple(int(i == (k + 2 * ell) % 5) for i in range(5)))
+            rot = (ell, 0, ZERO)
+            assert _exact(_wmul(tau_kl, rot)) == _exact(_wmul(rot, tau_k))
+
+
+def test_base_words_are_the_star_vertices():
+    base = (0j,) + STAR.vertices
+    assert all(abs(_word_value(w) - v) < 1e-12 for w, v in zip(BASE_WORDS, base))
+    keys = {_key(w) for w in BASE_WORDS}
+    assert {_key(_word_rotate(w, 1)) for w in BASE_WORDS} == keys
+    assert {_key(_word_conjugate(w)) for w in BASE_WORDS} == keys
+
+
+def test_translation_ball_has_6661_points():
+    translations = _translation_values(8)
+    assert len(translations) == 6661
+    # independent float oracle: the values themselves separate 6661 points
+    assert len({(round(t.real, 6), round(t.imag, 6))
+                for t, _cost, _w in translations}) == 6661
+    assert all(cost == sum(map(abs, w)) and abs(_word_value(w) - t) == 0
+               for t, cost, w in translations)
+
+
+def test_lattice_words_are_the_lexicographic_ball():
+    for depth in range(4):
+        expected = [w for w in itertools.product(range(-depth, depth + 1), repeat=5)
+                    if sum(map(abs, w)) <= depth]
+        assert list(_lattice_words(depth)) == expected
+        assert list(_lattice_words(depth, include_inverses=False)) == \
+            [w for w in expected if min(w) >= 0]
