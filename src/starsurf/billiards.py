@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .config import UsageError
 from .geometry import AffineMap, StarPolygon, TOL_GEO, build_star, point_location
 from .quotient import edge_pairing
 
@@ -139,9 +140,9 @@ def simulate(z0: complex, direction: complex, max_events: int,
     direction = direction / abs(direction)
     loc = point_location(z0, star, tol)
     if loc.kind == "center":
-        raise ValueError("billiards start anywhere in K except the center")
+        raise UsageError("billiards start anywhere in K except the center")
     if loc.kind == "exterior":
-        raise ValueError(f"start {z0} lies outside the star")
+        raise UsageError(f"start {z0} lies outside the star")
     pair_m = edge_pairing(star).reflection_of_edge
 
     state = BilliardState(z0, direction)

@@ -19,7 +19,7 @@ from . import metric as mt
 from . import quotient as qt
 from . import tiling as tl
 from . import svgout
-from .config import load_settings
+from .config import UsageError, load_settings
 from .conformal import F_T, SheetedPoint, compute_k, eta
 from .geometry import build_star
 from .verify import budget_report, run_verify
@@ -304,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

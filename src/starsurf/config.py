@@ -20,6 +20,10 @@ from dataclasses import dataclass, replace
 from .quadrature import QuadratureRule
 
 
+class UsageError(ValueError):
+    """Bad user input, such as an unknown config key; the CLI exits 2."""
+
+
 @dataclass(frozen=True)
 class Settings:
     tol_geo: float = 1e-9
@@ -43,7 +47,7 @@ def load_settings(path: str | None = None, overrides: dict | None = None) -> Set
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValueError(f"bad config line: {raw.rstrip()}")
+                    raise UsageError(f"bad config line: {raw.rstrip()}")
                 key, val = (s.strip() for s in line.split("=", 1))
                 values[key] = val
     if overrides:
@@ -54,6 +58,6 @@ def load_settings(path: str | None = None, overrides: dict | None = None) -> Set
              "quad_nodes": int, "quad_target": float, "seed": int}
     for key, val in values.items():
         if key not in casts:
-            raise ValueError(f"unknown config key {key!r}")
+            raise UsageError(f"unknown config key {key!r}")
         settings = replace(settings, **{key: casts[key](val)})
     return settings

@@ -9,6 +9,16 @@ vertex B = b*e^{i*pi/5} sits at +36 degrees.  Here
 Angles of the triangle are exact rational multiples of pi and are stored as
 Fractions alongside their float values, so rational-angle identities can be
 tested exactly.
+
+Point location against the star has two forms.  point_location classifies
+one point and returns a Location (kind, edge or vertex index, edge
+parameter); it serves single-point callers and is the oracle the batch form
+is tested against.  locate_kinds classifies an array of points and returns
+only kind codes, indices into KINDS: 0 exterior, 1 interior, 2 edge,
+3 vertex, 4 center.  Both apply the same tests, with the same floating-point
+operations, in the same tie order: the center within tol, then a vertex
+within tol, then an edge (distance <= tol and 0 < t < 1), then the even-odd
+crossing test, which decides interior or exterior.
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 EPSILON = cmath.exp(2j * math.pi / 5)  # the rotation R: z -> eps*z
 
@@ -284,6 +296,53 @@ def point_location(z: complex, star: StarPolygon, tol: float = TOL_GEO) -> Locat
     if _point_in_polygon(z, star.vertices):
         return Location("interior")
     return Location("exterior")
+
+
+#: kind codes of locate_kinds: KINDS[code] is point_location's kind string
+KINDS = ("exterior", "interior", "edge", "vertex", "center")
+EXTERIOR, INTERIOR, EDGE, VERTEX, CENTER = range(len(KINDS))
+
+
+def _edge_division(u: complex) -> tuple[float, float, float]:
+    """(alpha, beta, denom) with ((dx + i dy) / u).real equal, bit for bit, to
+    (dx * alpha + dy * beta) / denom: CPython's complex-division steps, with
+    the exact factor 1.0 on the term it leaves unscaled."""
+    if abs(u.real) >= abs(u.imag):
+        ratio = u.imag / u.real
+        return 1.0, ratio, u.real + u.imag * ratio
+    ratio = u.real / u.imag
+    return ratio, 1.0, u.real * ratio + u.imag
+
+
+def locate_kinds(zs, star: StarPolygon, tol: float = TOL_GEO) -> np.ndarray:
+    """Kind codes (indices into KINDS) of point_location for an array of points.
+
+    Every point is tested against every star feature at once, along a last
+    axis of features, with point_location's floating-point operations.  The
+    kinds are assigned in the reverse of point_location's test order, each
+    overwriting the last, so a point passing several tests keeps the kind
+    of the first.
+    """
+    z = np.asarray(zs, dtype=complex)
+    x, y = z.real[..., None], z.imag[..., None]
+    # edge k joins vertex k to vertex k + 1 (see StarPolygon), so the edges
+    # are also the consecutive vertex pairs of _point_in_polygon
+    verts, nexts = star.vertices, star.vertices[1:] + star.vertices[:1]
+    p, q = np.array(verts), np.array(nexts)
+    u = q - p
+    alpha, beta, denom = np.array([_edge_division(b - a) for a, b in zip(verts, nexts)]).T
+
+    x_cross = p.real + (y - p.imag) * u.real / u.imag
+    crossings = ((p.imag > y) != (q.imag > y)) & (x < x_cross)
+    kinds = (np.count_nonzero(crossings, axis=-1) % 2).astype(np.int8)  # INTERIOR
+
+    dx, dy = x - p.real, y - p.imag
+    t = (dx * alpha + dy * beta) / denom
+    dist = np.hypot(dx - t * u.real, dy - t * u.imag)
+    kinds[np.any((dist <= tol) & (0.0 < t) & (t < 1.0), axis=-1)] = EDGE
+    kinds[np.any(np.hypot(dx, dy) <= tol, axis=-1)] = VERTEX
+    kinds[np.hypot(z.real - star.center.real, z.imag - star.center.imag) <= tol] = CENTER
+    return kinds
 
 
 def point_in_kite(z: complex, kite: tuple[complex, ...], tol: float = TOL_GEO) -> bool:

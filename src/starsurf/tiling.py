@@ -32,8 +32,17 @@ from functools import lru_cache
 from itertools import islice
 from operator import add
 
-from .geometry import EPSILON, StarPolygon, TOL_GEO, build_star, point_location
+import numpy as np
+
+from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, StarPolygon, TOL_GEO,
+                       build_star, locate_kinds, point_location)
 from .quotient import build_reflections, edge_pairing
+
+
+#: cheap reject radius around a star copy's center: above the circumradius
+#: OUTER_RADIUS = phi ~ 1.618 plus TOL_GEO, so no point within TOL_GEO of the
+#: closed star is rejected
+REJECT_RADIUS = 1.7
 
 
 class CheckFailure(AssertionError):
@@ -220,13 +229,9 @@ def copies_containing(z: complex, patch: TilingPatch,
     """Indices of patch copies whose closed star contains z."""
     if star is None:
         star = build_star()
-    out = []
-    for i, c in enumerate(patch.centers):
-        if abs(z - c) > 1.7:  # outside the circumradius, cheap reject
-            continue
-        if point_location(z - c, star, tol).kind != "exterior":
-            out.append(i)
-    return out
+    offsets = z - np.array(patch.centers)
+    near = np.flatnonzero(np.abs(offsets) <= REJECT_RADIUS)
+    return near[locate_kinds(offsets[near], star, tol) != EXTERIOR].tolist()
 
 
 def _translation_values(word_length: int) -> list[tuple[complex, int, tuple[int, ...]]]:
@@ -301,9 +306,10 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     # matches translations by value, rounded to 1e-9.
     tkeys = {(round(t.real * 1e9), round(t.imag * 1e9)) for t, _c, _w in translations}
     fixers = 0
+    vpoints = np.array(patch.vpoints)
     for _ in range(samples):
         z = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        if any(abs(z - p) < 1e-6 for p in patch.vpoints):
+        if np.any(np.abs(z - vpoints) < 1e-6):
             continue
         for j in range(5):
             for ell in (0, 1):
@@ -342,14 +348,15 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     }
 
 
-@lru_cache(maxsize=4)
 def fundamental_domain_check(samples: int = 200, seed: int = 0,
                              word_length: int = 8, depth: int = 3,
                              disk_radius: float = 0.9) -> dict:
     """Carrier search into the closed star for sampled plane points.
 
     For each sample z (off the vertex set) every rotation-translation
-    element g with g(z) in the closed punctured star is a carrier.  Reports
+    element g with g(z) in the closed punctured star is a carrier.  A
+    sample's candidate images g(z), all rotations times all translations of
+    the word ball, are classified in one locate_kinds call.  Reports
     existence (every sample has a carrier) and the number of distinct
     interior images; boundary samples are checked to have exactly the two
     edge-pairing representatives x and T_m(x).
@@ -360,8 +367,10 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     """
     rng = random.Random(seed)
     star = build_star()
-    patch = generate_patch(depth)
-    translations = _translation_values(word_length)
+    vpoints = np.array(generate_patch(depth).vpoints)
+    translations = np.array([t for t, _cost, _word in _translation_values(word_length)])
+    # a candidate eps^j z + t within REJECT_RADIUS has |t| <= REJECT_RADIUS + |z|
+    translations = translations[np.abs(translations) <= REJECT_RADIUS + disk_radius]
     refl = build_reflections()
     pairing = edge_pairing(star)
 
@@ -370,25 +379,17 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     for _ in range(samples):
         z = complex(rng.uniform(-disk_radius, disk_radius),
                     rng.uniform(-disk_radius, disk_radius))
-        if abs(z) > disk_radius or any(abs(z - p) < 1e-6 for p in patch.vpoints):
+        if abs(z) > disk_radius or np.any(np.abs(z - vpoints) < 1e-6):
             continue
         # carriers are distinct (j, t) pairs: one rotation's images differ by
         # distinct translations (>= 0.09 apart), two rotations' images meet
         # only for non-generic z, so each interior carrier is its own image
-        carried = images = 0
-        for j in range(5):
-            base = EPSILON ** j * z
-            for t, _cost, _word in translations:
-                w = base + t
-                if abs(w) > 1.7:
-                    continue
-                kind = point_location(w, star).kind
-                carried += kind not in ("exterior", "center")
-                images += kind == "interior"
-        if not carried:
+        w = np.array([EPSILON ** j * z for j in range(5)])[:, None] + translations
+        kinds = locate_kinds(w[np.abs(w) <= REJECT_RADIUS], star)
+        if not np.count_nonzero((kinds != EXTERIOR) & (kinds != CENTER)):
             existence_fail.append(z)
             continue
-        multiplicities.append(images)
+        multiplicities.append(int(np.count_nonzero(kinds == INTERIOR)))
 
     if existence_fail:
         raise CheckFailure(f"no carrier found for {existence_fail[:3]} ...")
@@ -419,6 +420,7 @@ def coverage_check(samples: int = 500, seed: int = 1, depth: int = 3,
     rng = random.Random(seed)
     star = build_star()
     patch = generate_patch(depth)
+    vpoints = np.array(patch.vpoints)
     misses = []
     tested = 0
     while tested < samples:
@@ -426,7 +428,7 @@ def coverage_check(samples: int = 500, seed: int = 1, depth: int = 3,
                     rng.uniform(-disk_radius, disk_radius))
         if abs(z) > disk_radius:
             continue
-        if any(abs(z - p) < 1e-6 for p in patch.vpoints):
+        if np.any(np.abs(z - vpoints) < 1e-6):
             continue
         tested += 1
         if not copies_containing(z, patch, star):

@@ -172,7 +172,13 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_key = 1\n")
     code, _ = run(capsys, "--config", str(cfg), "map", "eval", "--xi", "0.2,0.5")
-    assert code == 1
+    assert code == 2
+
+
+@pytest.mark.parametrize("z0", ["5,5", "0,0"])
+def test_billiard_bad_start_is_a_usage_error(capsys, z0):
+    code, _ = run(capsys, "billiard", "--z0", z0, "--theta", "0")
+    assert code == 2
 
 
 def test_usage_error_exit_code(capsys):

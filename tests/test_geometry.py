@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starsurf.geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS,
-                               PoleError, ProjectivePoint, build_star,
+from starsurf.geometry import (EPSILON, INNER_RADIUS, KINDS, OUTER_RADIUS,
+                               TOL_GEO, PoleError, ProjectivePoint, build_star,
                                build_triangle, icosahedron_vertices,
-                               point_location, point_in_kite,
+                               locate_kinds, point_location, point_in_kite,
                                reflect_across_ray, stereographic_project)
 
 
@@ -189,3 +191,63 @@ def test_point_location_cases():
     assert point_location(0.1 + 0.1j, star).kind == "interior"
     # vertex capture within the tolerance
     assert point_location(complex(INNER_RADIUS, 5e-10), star).kind == "vertex"
+
+
+# ------------------------------------------- the batch classifier locate_kinds
+
+STAR = build_star()
+UNIT = st.floats(0.0, 2 * math.pi).map(lambda a: cmath.exp(1j * a))
+#: offsets from a feature: on it, inside the tolerance, or outside it, also
+#: by 5% either side of it (the batch form repeats point_location's
+#: floating-point operations, so even these kinds agree exactly)
+NEAR = st.sampled_from([0.0, 0.5, 0.95, 1.05, 2.0]).map(lambda s: s * TOL_GEO)
+
+
+def _edge_point(eid, t, normal_offset=0.0):
+    p, q = STAR.edge_endpoints(eid)
+    return p + t * (q - p) + normal_offset * 1j * (q - p) / abs(q - p)
+
+
+FEATURES = st.one_of(
+    st.just(STAR.center),
+    st.sampled_from(STAR.vertices),
+    st.builds(_edge_point, st.integers(0, 9), st.floats(0.0, 1.0)),
+)
+#: the crossing test is most fragile on the horizontal line through
+#: vertices 0 and 5, where it meets vertices and edges at once
+ON_AXIS = st.builds(complex, st.floats(-2.0, 2.0),
+                    st.sampled_from([0.0, STAR.vertices[5].imag,
+                                     0.5 * TOL_GEO, -0.5 * TOL_GEO,
+                                     2 * TOL_GEO, -2 * TOL_GEO]))
+POINTS = st.one_of(
+    st.builds(lambda f, r, u: f + r * u, FEATURES, NEAR, UNIT),
+    ON_AXIS,
+    st.builds(complex, st.floats(-1.8, 1.8), st.floats(-1.8, 1.8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(POINTS, min_size=1, max_size=40))
+def test_locate_kinds_agrees_with_point_location(zs):
+    kinds = [KINDS[c] for c in locate_kinds(zs, STAR)]
+    assert kinds == [point_location(z, STAR).kind for z in zs]
+
+
+#: points whose kind no rounding of a symmetry can change: edge points
+#: offset along the normal, points near a vertex or the center, and generic
+#: points
+STABLE = st.one_of(
+    st.builds(_edge_point, st.integers(0, 9), st.floats(0.01, 0.99),
+              st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]).map(lambda s: s * TOL_GEO)),
+    st.builds(lambda v, u: v + 0.5 * TOL_GEO * u,
+              st.sampled_from((STAR.center,) + STAR.vertices), UNIT),
+    st.builds(complex, st.floats(-1.8, 1.8), st.floats(-1.8, 1.8)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(STABLE, min_size=1, max_size=40))
+def test_locate_kinds_is_dihedrally_invariant(zs):
+    kinds = locate_kinds(zs, STAR)
+    assert list(locate_kinds([EPSILON * z for z in zs], STAR)) == list(kinds)
+    assert list(locate_kinds([z.conjugate() for z in zs], STAR)) == list(kinds)

@@ -177,9 +177,7 @@ def test_word_of_center_roundtrip():
 
 
 def test_coverage_of_disk():
-    report = coverage_check(samples=500, seed=1, depth=3)
-    assert report["misses"] == 0
-    assert report["tested"] == 500
+    assert coverage_check() == {"tested": 500, "misses": 0}
 
 
 def test_copies_containing_origin_region():
@@ -202,6 +200,14 @@ def test_fundamental_domain_existence_and_multiplicity():
     # non-discreteness shows up as multiple interior carriers
     assert report["interior_multi"] > 0
     assert report["max_multiplicity"] > 1
+
+
+def test_fundamental_domain_check_ledger_figures():
+    # the figures behind ledger entries 10e and 10f
+    report = fundamental_domain_check()
+    assert report == {"samples": 151, "existence_failures": 0,
+                      "interior_unique": 0, "interior_multi": 151,
+                      "max_multiplicity": 865, "boundary_pairs_checked": 10}
 
 
 def test_fundamental_domain_witness_for_neighbor_copy():
