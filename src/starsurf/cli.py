@@ -66,7 +66,7 @@ def cmd_map(args) -> int:
         xi = args.xi
         payload = {
             "xi": _c2l(xi),
-            "k": compute_k(rule),
+            "k": compute_k(),
             "F_T": _c2l(F_T(xi, rule)) if xi.imag >= 0 else None,
             "eta": _c2l(eta(xi, args.sheet)),
             "sheet": args.sheet,

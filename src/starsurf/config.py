@@ -59,5 +59,12 @@ def load_settings(path: str | None = None, overrides: dict | None = None) -> Set
     for key, val in values.items():
         if key not in casts:
             raise UsageError(f"unknown config key {key!r}")
-        settings = replace(settings, **{key: casts[key](val)})
+        try:
+            settings = replace(settings, **{key: casts[key](val)})
+        except ValueError as exc:
+            raise UsageError(f"bad value {val!r} for config key {key!r}") from exc
+    try:
+        settings.rule  # QuadratureRule checks the quadrature settings' ranges
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return settings

@@ -6,7 +6,8 @@ The defining polynomial is f(xi) = xi^8 (xi-a)^3 (xi-b)^9 and the map is
 
 with prevertices 0, a, b on the real axis going to the corners O, A, B with
 interior angles 2pi/10, 7pi/10, pi/10.  The normalization k is fixed by
-F_T(a) = a.
+F_T(a) = a and has a closed form (compute_k).  F_T_many maps a sequence
+of points, each from the image before it where that is safe.
 
 Branch convention.  Sheet 0 is
 
@@ -27,9 +28,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from .config import UsageError
 from .geometry import INNER_RADIUS, OUTER_RADIUS
-from .quadrature import (DEFAULT_RULE, QuadratureFailure, QuadratureRule,
-                         clog, contour, panel, segment_point_distance)
+from .quadrature import (DEFAULT_RULE, QuadratureRule, clog, contour, panel,
+                         segment_point_distance)
 
 A = INNER_RADIUS
 B = OUTER_RADIUS
@@ -44,12 +48,9 @@ BRANCH_PHASE = cmath.exp(4j * math.pi / 5)
 #: clearance below which the integration path detours around a or b
 PATH_CLEARANCE = 0.05
 
-#: default tolerance for map-image assertions
-TOL_MAP = 1e-8
 
-
-class SingularFiber(ValueError):
-    """Evaluation at one of the deleted fibers xi in {0, a, b}."""
+class SingularFiber(UsageError):
+    """Evaluation at one of the deleted fibers xi in {0, a, b} (bad input)."""
 
 
 def f(xi: complex) -> complex:
@@ -71,10 +72,14 @@ def _check_regular(xi: complex, tol: float = 1e-13) -> complex:
     return xi
 
 
+def _log_eta0(xi):
+    """log eta_0 less its phase: sum of mu log(xi - s), on a scalar or an array."""
+    return MU[0.0] * clog(xi) + MU[A] * clog(xi - A) + MU[B] * clog(xi - B)
+
+
 def eta_ref(xi: complex) -> complex:
     """Sheet-0 branch of the 10th root of f (positive on (0, a))."""
-    return BRANCH_PHASE * cmath.exp(
-        0.8 * clog(xi) + 0.3 * clog(xi - A) + 0.9 * clog(xi - B))
+    return BRANCH_PHASE * cmath.exp(_log_eta0(xi))
 
 
 def eta(xi: complex, sheet: int) -> complex:
@@ -106,25 +111,20 @@ class SheetedPoint:
         return eta(self.xi, self.sheet)
 
 
-def _inv_eta(z: complex) -> complex:
-    return 1.0 / eta_ref(z)
+def _inv_eta(z: np.ndarray) -> np.ndarray:
+    """1/eta_0 on an array of points: the integrand of F_T."""
+    return np.exp(-_log_eta0(z)) / BRANCH_PHASE
 
 
-@lru_cache(maxsize=8)
-def compute_k(rule: QuadratureRule = DEFAULT_RULE) -> float:
-    """Normalization k = a / integral_0^a d xi/eta, real and positive.
+@lru_cache(maxsize=1)
+def compute_k() -> float:
+    """Normalization k = a / integral_0^a d xi/eta_0, in closed form.
 
-    Cached for the process lifetime; the cache key is the (frozen) rule.
+    The integral is a^(-1/10) b^(-9/10) B(1/5, 7/10) (1 - a/b)^(-1/5), the
+    2F1 of DLMF 15.4.6; ab = 1 and b = phi give k = phi^(-2/5) Gamma(9/10)
+    / (Gamma(1/5) Gamma(7/10)).  Check 03 compares it with quadrature.
     """
-    half = A / 2.0
-    val = (panel(_inv_eta, 0.0, half, mu0=MU[0.0], rule=rule)
-           + panel(_inv_eta, half, A, mu1=MU[A], rule=rule))
-    if abs(val.imag) > 1e-9 * abs(val.real):
-        raise QuadratureFailure(f"F(a) = {val} is not real; branch error")
-    k = A / val.real
-    if k <= 0:
-        raise QuadratureFailure(f"computed k = {k} is not positive")
-    return k
+    return B ** -0.4 * math.gamma(0.9) / (math.gamma(0.2) * math.gamma(0.7))
 
 
 def _real_axis_chain(x: float) -> tuple[list, list]:
@@ -144,14 +144,18 @@ def _real_axis_chain(x: float) -> tuple[list, list]:
     return stops, panels
 
 
+def _clear(p: complex, q: complex) -> bool:
+    """Whether the segment [p, q] stays more than PATH_CLEARANCE from a and b."""
+    return min(segment_point_distance(p, q, A),
+               segment_point_distance(p, q, B)) > PATH_CLEARANCE
+
+
 def _path_to(xi: complex) -> list[complex]:
     """Waypoints 0 -> xi keeping PATH_CLEARANCE away from a and b en route."""
-    if min(segment_point_distance(0.0, xi, A),
-           segment_point_distance(0.0, xi, B)) > PATH_CLEARANCE or abs(xi) < A / 2:
+    if _clear(0.0, xi) or abs(xi) < A / 2:
         return [0.0, xi]
     lift = 1j * max(1.0, abs(xi))
-    if min(segment_point_distance(lift, xi, A),
-           segment_point_distance(lift, xi, B)) > PATH_CLEARANCE:
+    if _clear(lift, xi):
         return [0.0, lift, xi]
     # descend vertically onto targets close to the real axis near a or b
     drop = complex(xi.real, max(xi.imag, 0.35))
@@ -168,7 +172,7 @@ def F_T(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
     xi = complex(xi)
     if xi.imag < -1e-12:
         raise ValueError("F_T is defined on the closed upper half-plane")
-    k = compute_k(rule)
+    k = compute_k()
     if xi.imag <= 0.0 and xi.real >= 0.0:
         # boundary evaluation, exact endpoint exponents
         x = xi.real
@@ -178,6 +182,24 @@ def F_T(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
         return k * total
     path = _path_to(xi)
     return k * contour(_inv_eta, path, mu_start=MU[0.0], rule=rule)
+
+
+def F_T_many(xis, rule: QuadratureRule = DEFAULT_RULE) -> list[complex]:
+    """F_T at each point of a sequence, in order, by path additivity: a point
+    continues from the previous image, F_prev + k * panel(prev -> xi), when
+    both lie in the open upper half-plane (sheet 0 is continuous there) and
+    the segment between them stays more than PATH_CLEARANCE from a and b.
+    Any other point goes through F_T from 0, with its path and error rule."""
+    k = compute_k()
+    images: list[complex] = []
+    prev = None
+    for xi in map(complex, xis):
+        if prev is not None and prev.imag > 0.0 and xi.imag > 0.0 and _clear(prev, xi):
+            images.append(images[-1] + k * panel(_inv_eta, prev, xi, rule=rule))
+        else:
+            images.append(F_T(xi, rule))
+        prev = xi
+    return images
 
 
 def F_Q(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
@@ -203,13 +225,11 @@ def corner_angle(prevertex: float, delta: float = 1e-4,
                  rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Interior angle of the image corner at F_T(prevertex).
 
-    Measured between the images of points delta before and after the
-    prevertex on the real axis (with the left neighbor of 0 taken at -delta).
+    Measured between the image steps F_T(prevertex -/+ delta) - F_T(prevertex)
+    along the real axis, each integrated from the prevertex itself (path
+    additivity), so no difference of two whole images loses digits.
     """
-    corner = F_T(prevertex, rule)
-    before = F_T(prevertex - delta, rule)
-    after = F_T(prevertex + delta, rule)
-    v1 = before - corner
-    v2 = after - corner
-    ang = abs(cmath.phase(v2 / v1))
-    return ang
+    mu = MU.get(prevertex, 0.0)
+    v1 = panel(_inv_eta, prevertex, prevertex - delta, mu0=mu, rule=rule)
+    v2 = panel(_inv_eta, prevertex, prevertex + delta, mu0=mu, rule=rule)
+    return abs(cmath.phase(v2 / v1))

@@ -63,17 +63,16 @@ def gamma(v: complex, w: complex) -> float:
     return (v * w.conjugate()).real
 
 
-def Gamma(p: SheetedPoint, v: TangentVector, w: TangentVector,
-          rule: QuadratureRule = DEFAULT_RULE) -> float:
+def Gamma(p: SheetedPoint, v: TangentVector, w: TangentVector) -> float:
     """Pullback metric k^2/|eta|^2 Re(v w-bar) at p."""
-    k = compute_k(rule)
+    k = compute_k()
     e = abs(p.eta)
     return (k * k) / (e * e) * (v.d_xi * w.d_xi.conjugate()).real
 
 
-def unit_field(p: SheetedPoint, rule: QuadratureRule = DEFAULT_RULE) -> TangentVector:
+def unit_field(p: SheetedPoint) -> TangentVector:
     """The nowhere-vanishing field X with d xi = eta/k; Gamma(X, X) = 1."""
-    k = compute_k(rule)
+    k = compute_k()
     return TangentVector(p, p.eta / k)
 
 
@@ -86,14 +85,13 @@ def delta(p: SheetedPoint, rule: QuadratureRule = DEFAULT_RULE) -> complex:
     return F_Q(p.xi, rule)
 
 
-def push_delta(p: SheetedPoint, v: TangentVector,
-               rule: QuadratureRule = DEFAULT_RULE) -> complex:
+def push_delta(p: SheetedPoint, v: TangentVector) -> complex:
     """Differential of the developing map along the branch through p.
 
     d z = k d xi / eta with eta the point's own branch value, so the unit
     field pushes to d z = 1 on every sheet.
     """
-    k = compute_k(rule)
+    k = compute_k()
     return k / p.eta * v.d_xi
 
 
@@ -140,7 +138,7 @@ def flow(p0: SheetedPoint, t: float, steps: int = 256, direction: complex = 1.0,
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    k = compute_k(rule)
+    k = compute_k()
     xi = complex(p0.xi)
     w = p0.eta  # current eta value, continued along the path
     h = t / steps

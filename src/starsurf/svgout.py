@@ -96,8 +96,9 @@ def patch_scene(star, patch) -> Scene:
 
 
 def map_grid_scene(star, n, rule=None) -> Scene:
-    """Image under the triangle map of an upper-half-plane grid."""
-    from .conformal import F_T
+    """Image under the triangle map of an upper-half-plane grid, one F_T_many
+    call per grid line (each point continues from its neighbour's image)."""
+    from .conformal import F_T_many
     from .geometry import build_triangle
     from .quadrature import DEFAULT_RULE
 
@@ -107,10 +108,10 @@ def map_grid_scene(star, n, rule=None) -> Scene:
     sc.polygon(list(tri.vertices), stroke="#1f3a66")
     for i in range(1, n):
         x = -0.5 + 3.0 * i / n
-        pts = [F_T(complex(x, 0.02 + 1.8 * j / n), rule) for j in range(n + 1)]
+        pts = F_T_many([complex(x, 0.02 + 1.8 * j / n) for j in range(n + 1)], rule)
         sc.polyline(pts, stroke="#4a6a9a", width=0.004)
     for j in range(1, n):
         y = 0.02 + 1.8 * j / n
-        pts = [F_T(complex(-0.5 + 3.0 * i / n, y), rule) for i in range(n + 1)]
+        pts = F_T_many([complex(-0.5 + 3.0 * i / n, y) for i in range(n + 1)], rule)
         sc.polyline(pts, stroke="#9a6a4a", width=0.004)
     return sc

@@ -141,7 +141,7 @@ def check_star_collinearity() -> CheckResult:
 
 @_check("conformal_map")
 def check_normalization() -> CheckResult:
-    k = compute_k()
+    k = compute_k()  # the closed form; fine-rule quadrature of F(a) is its oracle
     fine = QuadratureRule(nodes_per_panel=96, target_abs_err=1e-13)
     from .conformal import MU, _inv_eta
     half = INNER_RADIUS / 2

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from starsurf import metric, verify
+from starsurf import conformal, metric, quadrature, verify
 from starsurf.cli import main
 
 
@@ -179,6 +179,39 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_billiard_bad_start_is_a_usage_error(capsys, z0):
     code, _ = run(capsys, "billiard", "--z0", z0, "--theta", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("config, argv", [
+    ("quad_nodes = abc", ["map", "eval", "--xi", "0.2,0.5"]),
+    ("quad_nodes = 2", ["map", "eval", "--xi", "0.2,0.5"]),
+    ("", ["map", "eval", "--xi", "0.6180339887498949,0"]),  # the fiber over a
+    ("", ["tiling", "--depth", "9"]),
+], ids=["config-cast", "config-range", "singular-fiber", "tiling-depth"])
+def test_bad_input_is_a_usage_error(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "starsurf.cfg"
+    cfg.write_text(config + "\n")
+    code = main(["--config", str(cfg), *argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_map_grid_uses_the_configured_rule(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "starsurf.cfg"
+    cfg.write_text("quad_nodes = 32\n")
+    rules = []
+    panel = quadrature.panel
+
+    def spy(f, s0, s1, mu0=0.0, mu1=0.0, rule=quadrature.DEFAULT_RULE, _depth=0):
+        rules.append(rule)
+        return panel(f, s0, s1, mu0, mu1, rule, _depth)
+
+    # F_T_many calls conformal.panel; contour and bisection call quadrature.panel
+    monkeypatch.setattr(quadrature, "panel", spy)
+    monkeypatch.setattr(conformal, "panel", spy)
+    svg = tmp_path / "grid.svg"
+    code, _ = run(capsys, "--config", str(cfg), "map", "grid", "--n", "4", "--svg", str(svg))
+    assert code == 0
+    assert rules and all(r.nodes_per_panel == 32 for r in rules)
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,14 +1,20 @@
 import cmath
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starsurf.conformal import (F_Kstar, F_Q, F_T, SheetedPoint, SingularFiber,
-                                compute_k, corner_angle, eta, eta_ref, f,
-                                f_prime)
+from starsurf import conformal
+from starsurf.conformal import (MU, PATH_CLEARANCE, F_Kstar, F_Q, F_T, F_T_many,
+                                SheetedPoint, SingularFiber, _inv_eta, compute_k,
+                                corner_angle, eta, eta_ref, f, f_prime)
 from starsurf.geometry import EPSILON, INNER_RADIUS, OUTER_RADIUS, build_triangle
-from starsurf.quadrature import QuadratureRule, clog, contour, panel
+from starsurf.quadrature import (QuadratureRule, _jacobi_nodes, _panel_gj,
+                                 _panel_ts, clog, contour, panel)
 
 A, B = INNER_RADIUS, OUTER_RADIUS
 
@@ -16,22 +22,50 @@ A, B = INNER_RADIUS, OUTER_RADIUS
 # ------------------------------------------------------------ quadrature core
 
 def test_panel_against_closed_forms():
+    inv_sqrt = lambda z: np.exp(-0.5 * clog(z))  # noqa: E731
     # int_0^1 x^{-1/2} dx = 2
-    val = panel(lambda z: cmath.exp(-0.5 * clog(z)), 0.0, 1.0, mu0=0.5)
-    assert abs(val - 2.0) < 1e-13
+    assert abs(panel(inv_sqrt, 0.0, 1.0, mu0=0.5) - 2.0) < 1e-13
+    assert abs(_panel_gj(inv_sqrt, 0.0, 1.0, 0.5, 0.0, 48) - 2.0) < 1e-13
+    # tanh-sinh stops at |t| = 3, about 1 - 4e-14 of the way to each end,
+    # which misses 2.6e-7 of this integral; panel() bisects that away
+    assert abs(_panel_ts(inv_sqrt, 0.0, 1.0, 192) - 2.0) < 1e-6
     # int_0^1 (1-x)^{-0.9} dx = 10
-    val = panel(lambda z: cmath.exp(-0.9 * clog(1.0 - z)), 0.0, 1.0, mu1=0.9)
-    assert abs(val - 10.0) < 1e-11
+    inv_pow = lambda z: np.exp(-0.9 * clog(1.0 - z))  # noqa: E731
+    assert abs(panel(inv_pow, 0.0, 1.0, mu1=0.9) - 10.0) < 1e-11
+    assert abs(_panel_gj(inv_pow, 0.0, 1.0, 0.0, 0.9, 48) - 10.0) < 1e-11
     # analytic integrand over a complex segment: exact antiderivative
     s0, s1 = 0.3 + 0.2j, 1.1 + 0.9j
-    val = panel(lambda z: cmath.exp(z), s0, s1)
-    assert abs(val - (cmath.exp(s1) - cmath.exp(s0))) < 1e-13
+    exact = cmath.exp(s1) - cmath.exp(s0)
+    assert abs(panel(np.exp, s0, s1) - exact) < 1e-13
+    assert abs(_panel_gj(np.exp, s0, s1, 0.0, 0.0, 48) - exact) < 1e-13
+    assert abs(_panel_ts(np.exp, s0, s1, 192) - exact) < 1e-12
+
+
+@pytest.mark.parametrize("n", [48, 80])
+@pytest.mark.parametrize("alpha, beta", [(0.0, -0.8), (-0.3, 0.0), (0.0, -0.9),
+                                         (-0.9, 0.0), (-0.3, -0.8)])
+def test_jacobi_weights_integrate_polynomials(n, alpha, beta):
+    # int (1-x)^alpha (1+x)^(beta+p) = 2^(alpha+beta+p+1) B(alpha+1, beta+p+1),
+    # and the mirror image; scipy's own weights miss these by up to 2e-11
+    from scipy.special import beta as beta_fn
+    x, w = _jacobi_nodes(n, alpha, beta)
+    for p in range(9):
+        scale = 2.0 ** (alpha + beta + p + 1)
+        assert abs(np.dot(w, (1 + x) ** p) / (scale * beta_fn(alpha + 1, beta + p + 1)) - 1) < 2e-12
+        assert abs(np.dot(w, (1 - x) ** p) / (scale * beta_fn(alpha + p + 1, beta + 1)) - 1) < 2e-12
+
+
+def test_clog_takes_the_upper_side_on_scalars_and_arrays():
+    below = complex(-2.0, -0.0)
+    assert clog(below) == cmath.log(complex(-2.0, 0.0))
+    assert clog(np.array([below, 1j]))[0] == clog(below)
+    assert clog(np.array([-2.0]))[0] == clog(below)  # real arrays too
 
 
 def test_tanh_sinh_fallback_matches():
     rule = QuadratureRule(kind="tanh-sinh", nodes_per_panel=48,
                           target_abs_err=1e-10)
-    val = panel(lambda z: cmath.exp(-0.5 * clog(z)), 0.0, 1.0, mu0=0.5, rule=rule)
+    val = panel(lambda z: np.exp(-0.5 * clog(z)), 0.0, 1.0, mu0=0.5, rule=rule)
     assert abs(val - 2.0) < 1e-9
 
 
@@ -46,11 +80,16 @@ def test_quadrature_rule_validation():
 
 def test_contour_path_independence():
     # integrand analytic off the cut [0, b]; two homotopic paths agree
-    fn = lambda z: 1.0 / eta_ref(z)
     target = 0.9 + 1.1j
-    direct = contour(fn, [0.0, target], mu_start=0.8)
-    detour = contour(fn, [0.0, 1.5j, target], mu_start=0.8)
+    direct = contour(_inv_eta, [0.0, target], mu_start=0.8)
+    detour = contour(_inv_eta, [0.0, 1.5j, target], mu_start=0.8)
     assert abs(direct - detour) < 1e-10
+
+
+def test_array_integrand_is_one_over_the_scalar_branch():
+    zs = np.array([0.3 + 0.4j, -0.7 + 0.01j, 1.4 + 1e-3j, 2.5 + 0.0j, 0.2])
+    want = np.array([1.0 / eta_ref(z) for z in zs])
+    assert np.max(np.abs(_inv_eta(zs) / want - 1.0)) < 1e-14
 
 
 # ------------------------------------------------------------------- the root
@@ -112,25 +151,43 @@ def test_sheeted_point_curve_relation():
 
 # -------------------------------------------------------------- normalization
 
+def _quadrature_k(rule: QuadratureRule) -> float:
+    """The quadrature oracle for k: a / integral_0^a d xi/eta_0."""
+    half = A / 2
+    fa = (panel(_inv_eta, 0.0, half, mu0=MU[0.0], rule=rule)
+          + panel(_inv_eta, half, A, mu1=MU[A], rule=rule))
+    assert abs(fa.imag) < 1e-12 * abs(fa.real)
+    return A / fa.real
+
+
 def test_compute_k_positive_and_consistent():
     k = compute_k()
     assert k > 0
     fine = QuadratureRule(nodes_per_panel=96, target_abs_err=1e-13)
     half = A / 2
-    fa = (panel(lambda z: 1 / eta_ref(z), 0.0, half, mu0=0.8)
-          + panel(lambda z: 1 / eta_ref(z), half, A, mu1=0.3, rule=fine))
+    fa = (panel(_inv_eta, 0.0, half, mu0=0.8)
+          + panel(_inv_eta, half, A, mu1=0.3, rule=fine))
     assert abs(k * fa - A) < 1e-10
 
 
 def test_compute_k_convergence_under_refinement():
+    # quadrature under a tighter target moves towards the closed form
     coarse = QuadratureRule(nodes_per_panel=24, target_abs_err=1e-8)
     finer = QuadratureRule(nodes_per_panel=24, target_abs_err=5e-9)
-    k1, k2 = compute_k(coarse), compute_k(finer)
+    k1, k2 = _quadrature_k(coarse), _quadrature_k(finer)
     assert abs(k1 - k2) < 1e-8
+    assert abs(k1 - compute_k()) < 1e-8 and abs(k2 - compute_k()) < 1e-8
 
 
 def test_compute_k_is_cached():
     assert compute_k() is compute_k()
+
+
+def test_compute_k_closed_form_matches_quadrature():
+    k = compute_k()
+    assert abs(k - 0.147926528245895497455) < 1e-16  # the closed form to 21 digits
+    for rule in (QuadratureRule(), QuadratureRule(nodes_per_panel=96, target_abs_err=1e-13)):
+        assert abs(_quadrature_k(rule) - k) < 1e-13
 
 
 # ------------------------------------------------------------------- the map
@@ -214,6 +271,46 @@ def test_map_derivative_is_k_over_eta():
 def test_schwarz_reflection_symmetry():
     for xi in (0.3 + 0.2j, 1.1 + 0.5j, -0.4 + 0.8j):
         assert abs(F_Q(xi.conjugate()) - F_Q(xi).conjugate()) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(complex, st.floats(-1.0, 3.0),
+                 st.one_of(st.floats(0.01, 2.0), st.floats(-2.0, -0.01))))
+def test_schwarz_reflection_property(xi):
+    assert abs(F_Q(xi.conjugate()) - F_Q(xi).conjugate()) < 1e-12
+
+
+# ------------------------------------------------------ the path-additive map
+
+UNIT_UPPER = st.floats(0.05, math.pi - 0.05).map(lambda a: cmath.exp(1j * a))
+#: polyline vertices: anywhere in the upper half-plane box of the map grid,
+#: or inside PATH_CLEARANCE of a or b, where F_T_many must restart from 0
+POLYLINE_POINTS = st.one_of(
+    st.builds(complex, st.floats(-0.5, 2.5), st.floats(0.01, 1.9)),
+    st.builds(lambda s, r, u: s + r * u, st.sampled_from([A, B]),
+              st.floats(0.2 * PATH_CLEARANCE, PATH_CLEARANCE), UNIT_UPPER),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(POLYLINE_POINTS, min_size=1, max_size=8))
+def test_F_T_many_equals_F_T_pointwise(zs):
+    many = F_T_many(zs)
+    assert len(many) == len(zs)
+    assert max(abs(w - F_T(z)) for w, z in zip(many, zs)) < 1e-11
+
+
+def test_F_T_many_chains_clear_steps_and_restarts_near_a_and_b():
+    near_a = A + 0.5 * PATH_CLEARANCE * 1j
+    zs = [0.2 + 0.5j, 0.3 + 0.5j, near_a, 1.2 + 0.6j, 1.3 + 0.6j, B, 1.5 + 0.5j,
+          2.5, 2.5 + 0.4j, 2.4 + 0.4j]
+    with mock.patch.object(conformal, "F_T", wraps=F_T) as spy:
+        many = F_T_many(zs)
+    # restarts: the first point, both steps touching near_a, the boundary
+    # points B and 2.5 and the steps after them; three steps are chained
+    restarts = [zs[0], near_a, zs[3], B, zs[6], 2.5, zs[8]]
+    assert [c.args[0] for c in spy.call_args_list] == restarts
+    assert max(abs(w - F_T(z)) for w, z in zip(many, zs)) < 1e-11
 
 
 def test_sector_map_is_rotated_kite_map():
