@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tiling)
 
     p = sub.add_parser("quotient", help="triangulation census and quotient cells")
-    p.add_argument("--dump", action="store_true")
     p.add_argument("--json")
     p.set_defaults(func=cmd_quotient)
 

@@ -1,11 +1,8 @@
-"""Key-value configuration for tolerances, quadrature defaults, and seeds.
+"""Key-value configuration for the quadrature rule and the seed.
 
 File format: one ``key = value`` pair per line, ``#`` comments allowed.
-Recognized keys:
+Recognized keys; any other key is a usage error:
 
-    tol_geo          point-classification tolerance (default 1e-9)
-    tol_map          map-image assertion tolerance (default 1e-8)
-    quad_kind        gauss-jacobi-split | tanh-sinh
     quad_nodes       nodes per panel (default 48)
     quad_target      panel error target (default 1e-12)
     seed             RNG seed for sampled checks (default 0)
@@ -26,16 +23,13 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class Settings:
-    tol_geo: float = 1e-9
-    tol_map: float = 1e-8
-    quad_kind: str = "gauss-jacobi-split"
     quad_nodes: int = 48
     quad_target: float = 1e-12
     seed: int = 0
 
     @property
     def rule(self) -> QuadratureRule:
-        return QuadratureRule(self.quad_kind, self.quad_nodes, self.quad_target)
+        return QuadratureRule(self.quad_nodes, self.quad_target)
 
 
 def load_settings(path: str | None = None, overrides: dict | None = None) -> Settings:
@@ -54,8 +48,7 @@ def load_settings(path: str | None = None, overrides: dict | None = None) -> Set
         values.update({k: v for k, v in overrides.items() if v is not None})
 
     settings = Settings()
-    casts = {"tol_geo": float, "tol_map": float, "quad_kind": str,
-             "quad_nodes": int, "quad_target": float, "seed": int}
+    casts = {"quad_nodes": int, "quad_target": float, "seed": int}
     for key, val in values.items():
         if key not in casts:
             raise UsageError(f"unknown config key {key!r}")

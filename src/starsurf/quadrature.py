@@ -2,11 +2,10 @@
 
 The integrands handled here behave like (z - s)^(-mu) with 0 < mu < 1 at a
 panel endpoint s.  Panels adjacent to such an endpoint use Gauss-Jacobi
-nodes whose weight absorbs the exact exponent; interior panels fall back to
-Gauss-Legendre.  Error estimates come from comparing two node counts, with
-bisection when the target is missed.  A tanh-sinh rule is available as a
-fallback kind; it handles endpoint singularities without knowing mu.
-Integrands are array functions, called once on a panel's whole node array.
+nodes whose weight absorbs the exact exponent; interior panels use the
+Gauss-Legendre case of the same rule.  Error estimates come from comparing
+two node counts, with bisection when the target is missed.  Integrands are
+array functions, called once on a panel's whole node array.
 """
 
 from __future__ import annotations
@@ -17,13 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import eval_jacobi, roots_jacobi
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str = "gauss-jacobi-split"  # or "tanh-sinh"
     nodes_per_panel: int = 48
     target_abs_err: float = 1e-12
 
@@ -32,8 +28,6 @@ class QuadratureRule:
             raise ValueError("target_abs_err must be positive")
         if self.nodes_per_panel < 4:
             raise ValueError("nodes_per_panel must be at least 4")
-        if self.kind not in ("gauss-jacobi-split", "tanh-sinh"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
 
 
 DEFAULT_RULE = QuadratureRule()
@@ -58,24 +52,45 @@ def clog(z):
 
 @lru_cache(maxsize=64)
 def _jacobi_nodes(n: int, alpha: float, beta: float):
-    """Nodes and weights for the weight (1-x)^alpha (1+x)^beta on [-1, 1]:
-    scipy's nodes, with w_i = C / ((1 - x_i^2) P_n'(x_i)^2).  scipy scales its
-    own weights to their exact sum, which spreads the error of the weight
-    next to an exponent near -1 over all of them (2e-11 at n = 80).  The two
-    end weights are fixed by the exact integrals of 1 and 1 + x."""
-    x, w = roots_jacobi(n, alpha, beta)
-    if not (alpha or beta):
-        return x, w  # Gauss-Legendre
-    ab = alpha + beta
-    log_c = ((ab + 1) * math.log(2.0) + math.lgamma(n + alpha + 1) + math.lgamma(n + beta + 1)
-             - math.lgamma(n + ab + 1) - math.lgamma(n + 1))
-    dp = 0.5 * (n + ab + 1) * eval_jacobi(n - 1, alpha + 1, beta + 1, x)
-    w = math.exp(log_c) / ((1.0 - x) * (1.0 + x) * dp ** 2)
-    # the end weights make up the exact integrals of 1 and 1 + x
-    r0 = 2.0 ** (ab + 1) * beta_fn(alpha + 1, beta + 1) - np.sum(w[1:-1])
-    r1 = 2.0 ** (ab + 2) * beta_fn(alpha + 1, beta + 2) - np.dot(w[1:-1], 1.0 + x[1:-1])
-    w[0] = (r1 - (1.0 + x[-1]) * r0) / (x[0] - x[-1])
-    w[-1] = r0 - w[0]
+    """Nodes and weights for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
+
+    Nodes: the eigenvalues of the symmetric tridiagonal Jacobi matrix J (Golub
+    & Welsch 1969), polished by one Newton step on the three-term recurrence
+    for P_n = P_n^(alpha, beta).  Weights: w_i = C / ((1 - x_i^2) P_n'(x_i)^2),
+    C = 2^(alpha+beta+1) G(n+alpha+1) G(n+beta+1) / (G(n+alpha+beta+1) n!).
+    Next to an exponent near -1 a weight moves with the last ulp of its node,
+    so the two end weights are fixed by the exact integrals of 1 and 1 + x."""
+    a, b, ab = alpha, beta, alpha + beta
+    k = np.arange(1.0, n + 1)
+    c = 2.0 * k + ab
+    # J_kk = d[k] and J_(k-1)k^2 = e[k-1] / 4 for k < n; e[n-1] enters P_n's norm
+    d = np.append((b - a) / (ab + 2.0), (b * b - a * a) / (c[:-1] * (c[:-1] + 2.0)))
+    k, c = k[1:], c[1:]  # e[0] apart, as ab may be -1
+    e = np.append(16.0 * (a + 1.0) * (b + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0)),
+                  16.0 * k * (k + a) * (k + b) * (k + ab) / (c * c * (c * c - 1.0)))
+    jac = np.diag(d) + np.diag(np.sqrt(e[:-1]) / 2.0, -1)  # eigvalsh reads the lower triangle
+    if a == b:  # zero diagonal: the even rows and columns of J^2 hold the squared nodes
+        jac += jac.T
+        y = np.sqrt(np.maximum(np.linalg.eigvalsh((jac @ jac)[0::2, 0::2]), 0.0))
+        x = np.concatenate((-y[:0:-1] if n % 2 else -y[::-1], y))
+    else:
+        x = np.linalg.eigvalsh(jac)
+    # q_k = 2^k P_k / lead(P_k), lead: leading coefficient; q_(k+1) = 2(x-d[k]) q_k - e[k-1] q_(k-1)
+    x2, q0, q1 = 2.0 * x, 0.0, 1.0
+    for dk, ek in zip((2.0 * d).tolist(), [0.0] + e.tolist()):
+        q0, q1 = q1, (x2 - dk) * q1 - ek * q0
+    # (2n+ab)(1-x^2) P_n' = n[(a-b) - (2n+ab)x] P_n + 2(n+a)(n+b) P_(n-1), in q
+    c, s = c[-1], (1.0 - x) * (1.0 + x)
+    dq = (n * ((a - b) - c * x) * q1
+          + 8.0 * n * (n + a) * (n + b) * (n + ab) / ((c - 1.0) * c) * q0) / (c * s)
+    # one Newton step dx = -q_n / q_n'; q_n' follows the node by q_n'' dx, with
+    # (1-x^2) q_n'' = [(a-b) + (ab+2)x] q_n' at a root (the Jacobi equation)
+    x, dq = x - q1 / dq, dq + ((b - a) - (ab + 2.0) * x) * q1 / s
+    # m0 and m0 2(b+1)/(ab+2) integrate 1 and 1 + x; C 4^n / lead(P_n)^2 = m0 (2n+ab+1) prod(e)
+    m0 = 2.0 ** (ab + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(ab + 2)
+    w = m0 * (c + 1.0) * np.prod(e) / ((1.0 - x) * (1.0 + x) * dq ** 2)
+    rhs = [m0 - np.sum(w[1:-1]), m0 * 2.0 * (b + 1) / (ab + 2) - np.dot(w[1:-1], 1.0 + x[1:-1])]
+    w[[0, -1]] = np.linalg.solve([[1.0, 1.0], [1.0 + x[0], 1.0 + x[-1]]], rhs)
     return x, w
 
 
@@ -98,28 +113,12 @@ def _panel_gj(f, s0: complex, s1: complex, mu0: float, mu1: float, n: int) -> co
     return pre * np.dot(w, vals)
 
 
-def _panel_ts(f, s0: complex, s1: complex, n: int) -> complex:
-    """Tanh-sinh panel; tolerates integrable endpoint singularities blindly."""
-    h = 3.0 / n
-    j = np.arange(-n, n + 1)
-    t = j * h
-    u = np.tanh(0.5 * math.pi * np.sinh(t))
-    du = 0.5 * math.pi * np.cosh(t) / np.cosh(0.5 * math.pi * np.sinh(t)) ** 2
-    r = (s1 - s0) / 2.0
-    mid = (s0 + s1) / 2.0
-    return np.dot(f(mid + r * u), du) * h * r
-
-
 def panel(f, s0, s1, mu0=0.0, mu1=0.0, rule: QuadratureRule = DEFAULT_RULE,
           _depth: int = 0) -> complex:
     """Adaptive panel with an a-posteriori two-resolution error estimate."""
     n = rule.nodes_per_panel
-    if rule.kind == "tanh-sinh":
-        coarse = _panel_ts(f, s0, s1, 2 * n)
-        fine = _panel_ts(f, s0, s1, 4 * n)
-    else:
-        coarse = _panel_gj(f, s0, s1, mu0, mu1, n)
-        fine = _panel_gj(f, s0, s1, mu0, mu1, n + n // 2 + 8)
+    coarse = _panel_gj(f, s0, s1, mu0, mu1, n)
+    fine = _panel_gj(f, s0, s1, mu0, mu1, n + n // 2 + 8)
     err = abs(fine - coarse)
     if err <= rule.target_abs_err or abs(s1 - s0) < 1e-13:
         return fine

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starsurf.billiards import (BilliardState, CenterCrossing, DegenerateRay,
                                 develop, lift_trajectory, next_event,
@@ -121,6 +123,24 @@ def test_simulate_rotation_equivariance():
             for s0, s1 in zip(base.segments, rotated.segments):
                 assert abs(rot * s0.start - s1.start) < 1e-9
                 assert abs(rot * s0.end - s1.end) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(0.0, 2 * math.pi))
+def test_simulate_reflection_equivariance(x, y, theta):
+    # the star is symmetric under z -> eps^k conj(z), k = 0..4; a mirrored
+    # start and direction give the mirror image of the whole trajectory
+    z0, d0 = complex(x, y), cmath.exp(1j * theta)
+    assume(point_location(z0, STAR).kind == "interior" and abs(z0) >= 0.05)
+    base = simulate(z0, d0, 6)
+    for k in range(5):
+        rot = EPSILON ** k
+        mirrored = simulate(rot * z0.conjugate(), rot * d0.conjugate(), 6)
+        assert [e.kind for e in mirrored.events] == [e.kind for e in base.events]
+        for s0, s1 in zip(base.segments, mirrored.segments, strict=True):
+            assert abs(rot * s0.start.conjugate() - s1.start) < 1e-9
+            assert abs(rot * s0.end.conjugate() - s1.end) < 1e-9
+            assert abs(rot * s0.dir.conjugate() - s1.dir) < 1e-9
 
 
 def test_lift_tags_match_pairing_table():

@@ -1,8 +1,13 @@
 import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import starsurf
 from starsurf import conformal, metric, quadrature, verify
 from starsurf.cli import main
 
@@ -116,12 +121,18 @@ def test_tiling_subcommand(tmp_path, capsys):
 
 
 def test_quotient_subcommand(capsys):
-    code, out = run(capsys, "quotient", "--dump")
+    code, out = run(capsys, "quotient")
     assert code == 0
     payload = json.loads(out)
     assert (payload["faces"], payload["edges"], payload["vertices"]) == (10, 20, 10)
     assert payload["chi"] == -6 and payload["genus"] == 4
     assert payload["unordered_pair_orbit_sizes"] == [5]
+
+
+def test_quotient_has_no_dump_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quotient", "--dump"])
+    assert exc.value.code == 2
 
 
 def test_verify_module_filter(tmp_path, capsys, monkeypatch):
@@ -175,6 +186,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2
 
 
+# these keys were once parsed but read by nothing; setting one now fails loudly
+@pytest.mark.parametrize("line", ["tol_geo = 1e-9", "tol_map = 1e-8", "quad_kind = tanh-sinh"],
+                         ids=["tol_geo", "tol_map", "quad_kind"])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, line):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["--config", str(cfg), "map", "eval", "--xi", "0.2,0.5"])
+    assert code == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("z0", ["5,5", "0,0"])
 def test_billiard_bad_start_is_a_usage_error(capsys, z0):
     code, _ = run(capsys, "billiard", "--z0", z0, "--theta", "0")
@@ -218,3 +240,12 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # a fresh interpreter, so that no other test's imports count
+    path = [str(pathlib.Path(starsurf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import starsurf.cli, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
