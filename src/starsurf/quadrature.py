@@ -69,12 +69,7 @@ def _jacobi_nodes(n: int, alpha: float, beta: float):
     e = np.append(16.0 * (a + 1.0) * (b + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0)),
                   16.0 * k * (k + a) * (k + b) * (k + ab) / (c * c * (c * c - 1.0)))
     jac = np.diag(d) + np.diag(np.sqrt(e[:-1]) / 2.0, -1)  # eigvalsh reads the lower triangle
-    if a == b:  # zero diagonal: the even rows and columns of J^2 hold the squared nodes
-        jac += jac.T
-        y = np.sqrt(np.maximum(np.linalg.eigvalsh((jac @ jac)[0::2, 0::2]), 0.0))
-        x = np.concatenate((-y[:0:-1] if n % 2 else -y[::-1], y))
-    else:
-        x = np.linalg.eigvalsh(jac)
+    x = np.linalg.eigvalsh(jac)
     # q_k = 2^k P_k / lead(P_k), lead: leading coefficient; q_(k+1) = 2(x-d[k]) q_k - e[k-1] q_(k-1)
     x2, q0, q1 = 2.0 * x, 0.0, 1.0
     for dk, ek in zip((2.0 * d).tolist(), [0.0] + e.tolist()):

@@ -54,7 +54,7 @@ def test_jacobi_weights_integrate_polynomials(n, alpha, beta):
 
 @pytest.mark.parametrize("n", [5, 32, 48, 81, 152])
 def test_gauss_legendre_matches_numpy(n):
-    # numpy's leggauss is an independent oracle for the alpha = beta path
+    # numpy's leggauss is an independent oracle for the Gauss-Legendre case
     x, w = _jacobi_nodes(n, 0.0, 0.0)
     xl, wl = np.polynomial.legendre.leggauss(n)
     assert np.max(np.abs(x - xl)) < 4e-16
