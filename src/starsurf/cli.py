@@ -20,7 +20,7 @@ from . import quotient as qt
 from . import tiling as tl
 from . import svgout
 from .config import UsageError, load_settings
-from .conformal import F_T, SheetedPoint, compute_k, eta
+from .conformal import SHEET_COUNT, F_T, SheetedPoint, compute_k, eta
 from .geometry import build_star
 from .verify import budget_report, run_verify
 
@@ -28,6 +28,13 @@ from .verify import budget_report, run_verify
 def _cpx(value: str) -> complex:
     re, im = (float(s) for s in value.split(","))
     return complex(re, im)
+
+
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
 
 
 def _c2l(z: complex) -> list[float]:
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="action", required=True)
     pe = psub.add_parser("eval")
     pe.add_argument("--xi", type=_cpx, required=True, help="RE,IM")
-    pe.add_argument("--sheet", type=int, default=0)
+    pe.add_argument("--sheet", type=int, default=0, choices=range(SHEET_COUNT))
     pe.add_argument("--json")
     pe.set_defaults(func=cmd_map, action="eval")
     pg = psub.add_parser("grid")
@@ -262,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate the straightened field")
     p.add_argument("--xi", type=_cpx, required=True, help="RE,IM")
-    p.add_argument("--sheet", type=int, default=0)
+    p.add_argument("--sheet", type=int, default=0, choices=range(SHEET_COUNT))
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--steps", type=int, default=256)
+    p.add_argument("--steps", type=_positive_int, default=256)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--json")
     p.set_defaults(func=cmd_flow)

@@ -44,6 +44,8 @@ MU = {0.0: 0.8, A: 0.3, B: 0.9}
 
 SHEET_COUNT = 10
 BRANCH_PHASE = cmath.exp(4j * math.pi / 5)
+#: e^{i pi m/5}, the constant factor from sheet 0 to sheet m
+SHEET_PHASE = tuple(cmath.exp(1j * math.pi * m / 5) for m in range(SHEET_COUNT))
 
 #: clearance below which the integration path detours around a or b
 PATH_CLEARANCE = 0.05
@@ -85,13 +87,13 @@ def eta_ref(xi: complex) -> complex:
 def eta(xi: complex, sheet: int) -> complex:
     """The sheet-th branch: e^{i pi sheet/5} * eta_0(xi)."""
     xi = _check_regular(xi)
-    return cmath.exp(1j * math.pi * (sheet % SHEET_COUNT) / 5) * eta_ref(xi)
+    return SHEET_PHASE[sheet % SHEET_COUNT] * eta_ref(xi)
 
 
 def sheet_values(xi: complex) -> list[complex]:
     """All ten branch values at xi, indexed by sheet."""
     e0 = eta_ref(xi)
-    return [cmath.exp(1j * math.pi * k / 5) * e0 for k in range(SHEET_COUNT)]
+    return [phase * e0 for phase in SHEET_PHASE]
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,21 @@ Analytic continuation of eta around each of the finite singular values
 around infinity (taken as a small circle in the w = 1/xi chart) induces the
 identity.  The ramification indices 8, 9, 9, 0 total 26 and Riemann-Hurwitz
 for a degree-10 cover of the sphere gives genus 4.
+
+Continuation follows sheet 0 alone: the sheets differ by the constant
+phases e^{i pi k/5}, so a loop taking sheet 0 to sheet m takes every sheet
+k to k + m, and its monodromy is the shift by m.  Each step reads its sheet
+jump off the phase change of eta_0; no step scans the ten values.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .conformal import SHEET_COUNT, SheetedPoint, sheet_values
+import numpy as np
+
+from .conformal import MU, SHEET_COUNT, SheetedPoint, _log_eta0
 from .geometry import INNER_RADIUS, OUTER_RADIUS
 
 #: continuation basepoint, comfortably away from 0, a, b
@@ -27,7 +33,7 @@ _POINTS = {"0": 0.0, "a": INNER_RADIUS, "b": OUTER_RADIUS}
 
 
 class ContinuationAmbiguity(RuntimeError):
-    """Continuation endpoint was not decisively nearest to one sheet."""
+    """A continuation step could not be matched decisively to one sheet."""
 
 
 class NonIntegralGenus(ValueError):
@@ -84,37 +90,29 @@ class BranchPointReport:
     ramification_index: int     # sum over cycles of (length - 1)
 
 
-def _nearest_sheet(value: complex, candidates: list[complex]) -> tuple[int, float, float]:
-    dists = [abs(value - c) for c in candidates]
-    best = min(range(len(dists)), key=dists.__getitem__)
-    second = min(d for i, d in enumerate(dists) if i != best)
-    return best, dists[best], second
+def _continue_circle(points) -> SheetPermutation:
+    """Shift of a closed polygonal loop: minus the sum of its sheet jumps.
 
-
-def _continue_circle(points: list[complex]) -> SheetPermutation:
-    """Track all ten branch values along a closed polygonal loop."""
-    start = sheet_values(points[0])
-    gap = min(abs(start[0] - start[k]) for k in range(1, SHEET_COUNT))
-    tracked = list(start)
-    for z in points[1:]:
-        cand = sheet_values(z)
-        new = []
-        for w in tracked:
-            idx, dist, second = _nearest_sheet(w, cand)
-            # the chosen value must win decisively against the sheet spacing
-            if dist > 0.45 * abs(cand[idx] - cand[(idx + 1) % SHEET_COUNT]):
-                raise ContinuationAmbiguity(
-                    f"step drift {dist:.3e} too large near {z}")
-            new.append(cand[idx])
-        tracked = new
-    images = []
-    for w in tracked:
-        idx, dist, second = _nearest_sheet(w, start)
-        if dist > 0.1 * gap or second < 2 * dist:
-            raise ContinuationAmbiguity(
-                f"endpoint match residual {dist:.3e} vs gap {gap:.3e}")
-        images.append(idx)
-    return SheetPermutation(tuple(images))
+    A step's read is its change of arg eta_0 in units of pi/5, and its jump
+    the read rounded.  The step is ambiguous unless its value lands within
+    0.45 sheet spacings of its match and the read less the jump is within
+    0.25 sheet of the log-derivative's prediction (a step turning more than
+    half a sheet would otherwise alias onto a wrong one).
+    """
+    z = np.asarray(points, dtype=complex)
+    dlog = np.diff(_log_eta0(z))
+    read = dlog.imag * (5 / math.pi)
+    jumps = np.rint(read)
+    drift = np.abs(np.exp(1j * (math.pi / 5) * jumps - dlog) - 1.0) / (2 * math.sin(math.pi / 10))
+    dz, mid = np.diff(z), (z[1:] + z[:-1]) / 2
+    predicted = sum(mu * dz / (mid - s) for s, mu in MU.items()).imag * (5 / math.pi)
+    bad = ~((drift <= 0.45) & (np.abs(read - jumps - predicted) <= 0.25))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContinuationAmbiguity(
+            f"step {i + 1} of {len(dz)} near {points[i + 1]}: read increment "
+            f"{read[i] - jumps[i]:+.3f} sheet, predicted {predicted[i]:+.3f}, drift {drift[i]:.3f}")
+    return SheetPermutation.shift(-int(jumps.sum()) % SHEET_COUNT)
 
 
 def monodromy(around: str | float, radius: float | None = None,
@@ -124,34 +122,32 @@ def monodromy(around: str | float, radius: float | None = None,
     ``around`` is one of "0", "a", "b", "inf" (or the numeric value of a
     finite one).  For the finite points the default radius is a quarter of
     the gap to the nearest other singular value; for "inf" the loop is a
-    circle in the w = 1/xi chart around w = 0.
+    circle in the w = 1/xi chart around w = 0.  A loop takes at least three
+    steps; one too coarse to continue decisively raises ContinuationAmbiguity.
     """
-    if isinstance(around, str):
-        name = around
-    else:
+    if steps < 3:
+        raise ValueError(f"a loop needs at least 3 steps, got {steps}")
+    name = around
+    if not isinstance(around, str):
         matches = [n for n, v in _POINTS.items() if abs(v - around) < 1e-9]
         if not matches:
             raise ValueError(f"{around} is not a singular value")
         name = matches[0]
 
+    t = np.arange(steps + 1) / steps
     if name == "inf":
         r = radius if radius is not None else 0.2
-        if 1.0 / r <= OUTER_RADIUS:
-            raise ValueError("infinity loop must enclose all of 0, a, b")
-        ws = [r * cmath.exp(2j * math.pi * t / steps) for t in range(steps + 1)]
-        points = [1.0 / w for w in ws]
-        return _continue_circle(points)
+        if not 0.0 < r < 1.0 / OUTER_RADIUS:
+            raise ValueError(f"infinity loop radius {r} must lie in (0, 1/b) to enclose 0, a, b")
+        return _continue_circle(1.0 / (r * np.exp(2j * math.pi * t)))
 
     center = _POINTS[name]
-    others = [v for n, v in _POINTS.items() if n != name]
-    max_r = min(abs(center - v) for v in others)
+    max_r = min(abs(center - v) for n, v in _POINTS.items() if n != name)
     r = radius if radius is not None else 0.25 * max_r
-    if r >= max_r:
-        raise ValueError(f"radius {r} encloses more than the point {name}")
+    if not 0.0 < r < max_r:
+        raise ValueError(f"radius {r} must lie in (0, {max_r}) to enclose the point {name} alone")
     # start at the top of the circle, off the real-axis jump set
-    points = [center + r * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * t / steps))
-              for t in range(steps + 1)]
-    return _continue_circle(points)
+    return _continue_circle(center + r * np.exp(1j * (math.pi / 2 + 2 * math.pi * t)))
 
 
 def ramification_report(radius: float | None = None) -> list[BranchPointReport]:

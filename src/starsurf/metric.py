@@ -25,8 +25,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .conformal import (PREVERTICES, SHEET_COUNT, F_Kstar, F_Q, SheetedPoint,
-                        compute_k, f_prime, sheet_values)
+from .conformal import (PREVERTICES, SHEET_COUNT, SHEET_PHASE, F_Kstar, F_Q,
+                        SheetedPoint, compute_k, eta_ref, f_prime)
 from .geometry import build_triangle
 from .quadrature import DEFAULT_RULE, QuadratureRule
 
@@ -107,9 +107,13 @@ def delta_star(p: SheetedPoint, rule: QuadratureRule = DEFAULT_RULE,
     return F_Kstar(p.xi, nu, rule)
 
 
-def _nearest_value(w: complex, candidates: list[complex]) -> tuple[int, complex]:
-    best = min(range(len(candidates)), key=lambda i: abs(candidates[i] - w))
-    return best, candidates[best]
+def _snap(xi: complex, w: complex) -> tuple[int, complex]:
+    """The sheet m whose value at xi is nearest w, and that value: the ten
+    values differ only by the phases e^{i pi m/5}, so m is the phase of
+    w/eta_0 in units of pi/5, rounded."""
+    e0 = eta_ref(xi)
+    m = round(cmath.phase(w / e0) * 5 / math.pi) % SHEET_COUNT
+    return m, SHEET_PHASE[m] * e0
 
 
 def developed_direction(p0: SheetedPoint, direction: complex = 1.0,
@@ -120,7 +124,7 @@ def developed_direction(p0: SheetedPoint, direction: complex = 1.0,
     reflected chart contributes an extra e^{-2 pi i/5} (the derivative of
     the reflected map is k e^{-2 pi i/5}/eta_0).
     """
-    phase = cmath.exp(1j * math.pi * p0.sheet / 5)
+    phase = SHEET_PHASE[p0.sheet]
     if p0.xi.imag < 0.0:
         phase *= cmath.exp(-2j * math.pi / 5)
     return direction * phase
@@ -131,36 +135,36 @@ def flow(p0: SheetedPoint, t: float, steps: int = 256, direction: complex = 1.0,
     """Integrate the real-time flow of direction * X from p0 for time t.
 
     Classical fixed-step RK4 on xi.  eta is never integrated: at every stage
-    it is snapped to the nearest of the ten exact branch values, continuing
-    analytically across the real-axis jump set and killing drift off the
-    curve.  Raises LeftDomain if the path meets a singular fiber or the
-    developed image leaves the closed kite (triangle plus its reflection).
+    it is snapped to the branch value nearest the previous stage's, read off
+    its phase against sheet 0, continuing analytically across the real-axis
+    jump set and killing drift off the curve.  Raises LeftDomain if the path
+    meets a singular fiber or the developed image leaves the closed kite
+    (triangle plus its reflection).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     k = compute_k()
     xi = complex(p0.xi)
-    w = p0.eta  # current eta value, continued along the path
+    sheet, w = p0.sheet, p0.eta  # the exact branch value at xi, continued along the path
     h = t / steps
     z0 = delta(p0, rule)
     dev_vel = developed_direction(p0, direction, rule)
     elapsed = 0.0
 
     def vel(z: complex, w_ref: complex) -> tuple[complex, complex]:
-        cand = sheet_values(z)
-        _, wz = _nearest_value(w_ref, cand)
+        wz = _snap(z, w_ref)[1]
         return direction * wz / k, wz
 
     for _ in range(steps):
         for s in PREVERTICES:
             if abs(xi - s) < 1e-8:
                 raise LeftDomain(f"flow reached the singular fiber over {s}")
-        k1, w1 = vel(xi, w)
-        k2, w2 = vel(xi + 0.5 * h * k1, w1)
+        k1 = direction * w / k
+        k2, w2 = vel(xi + 0.5 * h * k1, w)
         k3, w3 = vel(xi + 0.5 * h * k2, w2)
         k4, w4 = vel(xi + h * k3, w3)
         xi = xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _, w = _nearest_value(w4, sheet_values(xi))
+        sheet, w = _snap(xi, w4)
         elapsed += h
         # the straightened image advances linearly; exit when it leaves
         image = z0 + dev_vel * elapsed
@@ -168,8 +172,7 @@ def flow(p0: SheetedPoint, t: float, steps: int = 256, direction: complex = 1.0,
             raise LeftDomain(
                 f"developed image {image:.6f} left the domain at time {elapsed:.4f}")
 
-    final_sheet, _ = _nearest_value(w, sheet_values(xi))
-    return SheetedPoint(xi, final_sheet)
+    return SheetedPoint(xi, sheet)
 
 
 _TRI = build_triangle()

@@ -25,7 +25,7 @@ from . import covering as cov
 from . import metric as mt
 from . import quotient as qt
 from . import tiling as tl
-from .conformal import F_T, SheetedPoint, compute_k, corner_angle
+from .conformal import MU, PREVERTICES, F_T, SheetedPoint, compute_k, corner_angle
 from .geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, build_star,
                        build_triangle, point_location)
 from .quadrature import QuadratureRule, panel
@@ -180,7 +180,8 @@ def check_map_endpoints() -> CheckResult:
 
 @_check("covering_surface")
 def check_monodromy() -> CheckResult:
-    expected = {"0": 8, "a": 3, "b": 9}
+    # eta ~ (xi - s)^mu_s picks up e^{2 pi i mu_s}: 10 mu_s sheet steps
+    expected = {name: round(10 * MU[s]) % 10 for name, s in zip("0ab", PREVERTICES)}
     ok = True
     detail = []
     for name, shift in expected.items():

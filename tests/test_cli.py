@@ -249,3 +249,16 @@ def test_cli_import_leaves_scipy_out():
     code = "import starsurf.cli, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--sheet", "12"],
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "0"],
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "-5"],
+    ["map", "eval", "--xi", "0.3,0.4", "--sheet", "12"],
+], ids=["flow-sheet", "flow-steps-0", "flow-steps-negative", "map-eval-sheet"])
+def test_bad_sheet_or_steps_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err

@@ -3,8 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from starsurf.conformal import SheetedPoint, eta
+from starsurf.conformal import MU, PREVERTICES, SheetedPoint, eta
 from starsurf.covering import (BASEPOINT, ContinuationAmbiguity,
                                NonIntegralGenus, SheetPermutation,
                                conjugate_sheeted, connectivity_check,
@@ -12,11 +14,12 @@ from starsurf.covering import (BASEPOINT, ContinuationAmbiguity,
                                genus_riemann_hurwitz, monodromy,
                                ramification_report, rotate_sheeted,
                                sheet_action, total_ramification)
+from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS
 
 #: continuation around each singular value shifts sheets by the numerator of
 #: the local exponent: eta ~ C (xi - s)^{e/10} picks up e^{2 pi i e/10}, which
 #: is e steps of the inter-sheet phase pi/5
-EXPECTED_SHIFTS = {"0": 8, "a": 3, "b": 9}
+EXPECTED_SHIFTS = {name: round(10 * MU[s]) % 10 for name, s in zip("0ab", PREVERTICES)}
 
 
 def test_monodromy_shifts_match_exponent_oracle():
@@ -50,6 +53,15 @@ def test_monodromy_numeric_centers_accepted():
         monodromy("0", radius=0.7)  # would enclose a as well
 
 
+def test_monodromy_rejects_degenerate_loops():
+    with pytest.raises(ValueError):
+        monodromy("a", radius=0.0)
+    with pytest.raises(ValueError):
+        monodromy("inf", radius=-0.1)
+    with pytest.raises(ValueError):
+        monodromy("b", steps=2)  # two steps do not wind around b
+
+
 def test_finite_monodromies_compose_to_identity():
     p0 = monodromy("0")
     pa = monodromy("a")
@@ -63,6 +75,33 @@ def test_continuation_ambiguity_on_wild_steps():
     from starsurf.covering import _continue_circle
     with pytest.raises(ContinuationAmbiguity):
         _continue_circle([0.9 + 1.0j, 2.5 + 2.5j, 0.9 + 1.0j])
+
+
+def test_ambiguity_names_the_step_and_increments():
+    # 32 steps around infinity turn about 20/32 of a sheet each, which the
+    # rounded read would take for the neighbouring sheet
+    with pytest.raises(ContinuationAmbiguity,
+                       match=r"step 1 of 32 .*read increment [-+]\d\.\d{3} sheet, "
+                             r"predicted [-+]\d\.\d{3}"):
+        monodromy("inf", radius=0.1, steps=32)
+
+
+#: radius at which each loop would touch another singular value
+LOOP_LIMIT = {"0": INNER_RADIUS, "a": INNER_RADIUS, "b": OUTER_RADIUS - INNER_RADIUS,
+              "inf": 1.0 / OUTER_RADIUS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LOOP_LIMIT)), st.floats(0.005, 0.995), st.integers(3, 64))
+@example("inf", 0.1 * OUTER_RADIUS, 32)
+@example("b", 0.039, 12)
+def test_loop_gives_the_exponent_shift_or_raises(name, frac, steps):
+    # a coarse loop may be refused, but never aliased onto a wrong sheet
+    try:
+        perm = monodromy(name, radius=frac * LOOP_LIMIT[name], steps=steps)
+    except ContinuationAmbiguity:
+        return
+    assert perm.images == SheetPermutation.shift(EXPECTED_SHIFTS.get(name, 0)).images
 
 
 def test_ramification_report():

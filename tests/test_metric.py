@@ -3,13 +3,16 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from starsurf.conformal import SheetedPoint, f_prime
+from starsurf.conformal import (PREVERTICES, SHEET_COUNT, SheetedPoint, eta_ref,
+                                f_prime, sheet_values)
 from starsurf.covering import conjugate_sheeted, rotate_sheeted
 from starsurf.geometry import EPSILON, build_star, point_location
 from starsurf.metric import (Gamma, LeftDomain, SECTOR_OF_SHEET, TangentVector,
                              delta, delta_star, developed_direction, flow,
-                             gamma, push_delta, sector_of_sheet, unit_field)
+                             gamma, push_delta, sector_of_sheet, unit_field, _snap)
 
 
 def _random_point(rng, lower=False):
@@ -135,6 +138,25 @@ def test_delta_star_image_in_star():
 def test_delta_star_nu_override():
     p = SheetedPoint(0.4 + 0.3j, 1)
     assert abs(delta_star(p, nu=2) - EPSILON ** 2 * delta(p)) < 1e-12
+
+
+def _nearest_of_ten(xi, w):
+    """The scan the phase read replaced, kept as its oracle."""
+    values = sheet_values(xi)
+    return min(range(SHEET_COUNT), key=lambda m: abs(values[m] - w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(complex, st.floats(-1.0, 3.0), st.floats(-2.0, 2.0)),
+       st.integers(0, SHEET_COUNT - 1), st.floats(-0.49, 0.49), st.floats(0.2, 5.0))
+def test_phase_read_picks_the_scanned_sheet(xi, m, offset, modulus):
+    # a reference value off sheet m by `offset` of a sheet spacing in phase,
+    # so never at an exact tie between two sheets
+    assume(min(abs(xi - s) for s in PREVERTICES) > 1e-3)
+    w = modulus * cmath.exp(1j * math.pi * (m + offset) / 5) * eta_ref(xi)
+    sheet, value = _snap(xi, w)
+    assert sheet == _nearest_of_ten(xi, w) == m
+    assert value == sheet_values(xi)[sheet]
 
 
 def test_flow_time_zero_is_identity():
