@@ -120,13 +120,13 @@ def cmd_flow(args) -> int:
     rule = load_settings(args.config).rule
     p = SheetedPoint(args.xi, args.sheet)
     direction = cmath.exp(1j * args.theta)
-    n = max(2, args.samples)
+    n = args.samples
     samples = []
     try:
         # march from each sample to the next rather than re-integrating from p0
         for i in range(n + 1):
             if i:
-                p = mt.flow(p, args.t / n, steps=max(8, args.steps // n),
+                p = mt.flow(p, args.t / n, steps=math.ceil(args.steps / n),
                             direction=direction, rule=rule)
             samples.append({
                 "t": args.t * i / n,
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--json")
     pe.set_defaults(func=cmd_map, action="eval")
     pg = psub.add_parser("grid")
-    pg.add_argument("--n", type=int, default=12)
+    pg.add_argument("--n", type=_positive_int, default=12)
     pg.add_argument("--svg", required=True)
     pg.add_argument("--json")
     pg.set_defaults(func=cmd_map, action="grid")
@@ -273,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--steps", type=_positive_int, default=256)
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=8)
     p.add_argument("--json")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("billiard", help="run a billiard trajectory")
     p.add_argument("--z0", type=_cpx, required=True, help="RE,IM")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--events", type=int, default=16)
+    p.add_argument("--events", type=_positive_int, default=16)
     p.add_argument("--svg")
     p.add_argument("--lift", action="store_true")
     p.add_argument("--json")

@@ -14,11 +14,14 @@ Point location against the star has two forms.  point_location classifies
 one point and returns a Location (kind, edge or vertex index, edge
 parameter); it serves single-point callers and is the oracle the batch form
 is tested against.  locate_kinds classifies an array of points and returns
-only kind codes, indices into KINDS: 0 exterior, 1 interior, 2 edge,
-3 vertex, 4 center.  Both apply the same tests, with the same floating-point
-operations, in the same tie order: the center within tol, then a vertex
-within tol, then an edge (distance <= tol and 0 < t < 1), then the even-odd
-crossing test, which decides interior or exterior.
+kind codes, indices into KINDS: 0 exterior, 1 interior, 2 edge, 3 vertex,
+4 center.  point_location tests the center within tol, then a vertex within
+tol, then an edge (distance <= tol and 0 < t < 1), then the even-odd
+crossing test.  The star is the set of points outside at most one of its
+five edge lines.  A point more than 2 tol + 1e-12 from every line and from
+the center passes none of the first three tests, and its crossing test is
+exact, so locate_kinds counts the lines it is outside.  Points within that
+margin go through _exact_kinds, point_location's operations bit for bit.
 """
 
 from __future__ import annotations
@@ -314,16 +317,26 @@ def _edge_division(u: complex) -> tuple[float, float, float]:
     return ratio, 1.0, u.real * ratio + u.imag
 
 
-def locate_kinds(zs, star: StarPolygon, tol: float = TOL_GEO) -> np.ndarray:
-    """Kind codes (indices into KINDS) of point_location for an array of points.
-
-    Every point is tested against every star feature at once, along a last
-    axis of features, with point_location's floating-point operations.  The
-    kinds are assigned in the reverse of point_location's test order, each
-    overwriting the last, so a point passing several tests keeps the kind
-    of the first.
-    """
+def locate_kinds(zs, star: StarPolygon, tol: float = TOL_GEO) -> tuple[np.ndarray, int]:
+    """Kind codes (indices into KINDS) of point_location for an array of
+    points, and how many of them the exact kernel decided."""
     z = np.asarray(zs, dtype=complex)
+    # signed distances to the edge lines, positive on the center's side
+    s = ((z[..., None] - [line.foot for line in star.edge_lines])
+         * np.conj([line.direction for line in star.edge_lines])).imag
+    kinds = (np.count_nonzero(s < 0, axis=-1) <= 1).astype(np.int8)  # INTERIOR or EXTERIOR
+    margin = 2 * tol + 1e-12
+    near = np.any(np.abs(s) < margin, axis=-1) | (np.abs(z - star.center) < margin)
+    kinds[near] = _exact_kinds(z[near], star, tol)
+    return kinds, int(np.count_nonzero(near))
+
+
+def _exact_kinds(z: np.ndarray, star: StarPolygon, tol: float) -> np.ndarray:
+    """point_location's kinds for an array of points, bit for bit: every
+    point is tested against every star feature at once, along a last axis of
+    features, with point_location's floating-point operations.  The kinds are
+    assigned in the reverse of point_location's test order, each overwriting
+    the last, so a point passing several tests keeps the kind of the first."""
     x, y = z.real[..., None], z.imag[..., None]
     # edge k joins vertex k to vertex k + 1 (see StarPolygon), so the edges
     # are also the consecutive vertex pairs of _point_in_polygon

@@ -96,8 +96,25 @@ def test_flow_uses_the_configured_rule_and_marches(tmp_path, capsys, monkeypatch
     assert len(calls) == 4
     assert all(kw["rule"].nodes_per_panel == 32 for _p, _t, kw in calls)
     assert all(abs(t - 0.025) < 1e-15 for _p, t, _kw in calls)
+    assert all(kw["steps"] == 64 for _p, _t, kw in calls)
     for (p, _t, _kw), prev in zip(calls, samples):
         assert [p.xi.real, p.xi.imag] == prev["xi"] and p.sheet == prev["sheet"]
+
+
+@pytest.mark.parametrize("steps, samples, per_sample", [(3, 8, 1), (10, 4, 3), (256, 8, 32)])
+def test_flow_splits_steps_over_samples(capsys, monkeypatch, steps, samples, per_sample):
+    calls = []
+    flow = metric.flow
+
+    def spy(p0, t, **kwargs):
+        calls.append(kwargs["steps"])
+        return flow(p0, t, **kwargs)
+
+    monkeypatch.setattr(metric, "flow", spy)
+    code, _out = run(capsys, "flow", "--xi", "1.1,0.9", "--t", "0.1",
+                     "--steps", str(steps), "--samples", str(samples))
+    assert code == 0
+    assert calls == [per_sample] * samples
 
 
 def test_billiard_subcommand(tmp_path, capsys):
@@ -256,7 +273,14 @@ def test_cli_import_leaves_scipy_out():
     ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "0"],
     ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "-5"],
     ["map", "eval", "--xi", "0.3,0.4", "--sheet", "12"],
-], ids=["flow-sheet", "flow-steps-0", "flow-steps-negative", "map-eval-sheet"])
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--samples", "0"],
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--samples", "-5"],
+    ["map", "grid", "--n", "0", "--svg", "grid.svg"],
+    ["map", "grid", "--n", "-2", "--svg", "grid.svg"],
+    ["billiard", "--z0", "0.05,0.13", "--theta", "0.53", "--events", "-3"],
+], ids=["flow-sheet", "flow-steps-0", "flow-steps-negative", "map-eval-sheet",
+        "flow-samples-0", "flow-samples-negative", "map-grid-n-0", "map-grid-n-negative",
+        "billiard-events-negative"])
 def test_bad_sheet_or_steps_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

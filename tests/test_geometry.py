@@ -229,8 +229,29 @@ POINTS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(POINTS, min_size=1, max_size=40))
 def test_locate_kinds_agrees_with_point_location(zs):
-    kinds = [KINDS[c] for c in locate_kinds(zs, STAR)]
+    kinds = [KINDS[c] for c in locate_kinds(zs, STAR)[0]]
     assert kinds == [point_location(z, STAR).kind for z in zs]
+
+
+#: the five-line count's margin: nearer any edge line or the center, a point
+#: goes through the exact kernel
+MARGIN = 2 * TOL_GEO + 1e-12
+#: points offset from an edge line by multiples of the margin, either side
+#: of the line and of the margin, along the whole line out to |z| = 3
+ON_LINES = st.builds(
+    lambda line, t, m: (line.foot + t * line.direction + m * MARGIN * line.foot / abs(line.foot), m),
+    st.sampled_from(STAR.edge_lines), st.floats(-3.0, 3.0),
+    st.sampled_from([0.5, 1.0, 2.0, 10.0, -0.5, -1.0, -2.0, -10.0]))
+FAR = st.builds(lambda r, u: (r * u, None), st.floats(0.0, 3.0), UNIT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(ON_LINES, FAR), min_size=1, max_size=40))
+def test_five_line_count_agrees_with_point_location(points):
+    zs = [z for z, _m in points]
+    kinds, exact = locate_kinds(zs, STAR)
+    assert [KINDS[c] for c in kinds] == [point_location(z, STAR).kind for z in zs]
+    assert exact >= sum(m is not None and abs(m) < 1 for _z, m in points)
 
 
 #: points whose kind no rounding of a symmetry can change: edge points
@@ -248,6 +269,6 @@ STABLE = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(STABLE, min_size=1, max_size=40))
 def test_locate_kinds_is_dihedrally_invariant(zs):
-    kinds = locate_kinds(zs, STAR)
-    assert list(locate_kinds([EPSILON * z for z in zs], STAR)) == list(kinds)
-    assert list(locate_kinds([z.conjugate() for z in zs], STAR)) == list(kinds)
+    kinds = locate_kinds(zs, STAR)[0]
+    assert list(locate_kinds([EPSILON * z for z in zs], STAR)[0]) == list(kinds)
+    assert list(locate_kinds([z.conjugate() for z in zs], STAR)[0]) == list(kinds)
