@@ -2,7 +2,9 @@
 
 The map F_T(xi) = k int_0^xi dz/eta with eta^10 = xi^8 (xi-a)^3 (xi-b)^9
 sends 0, a, b to the triangle corners O, A, B.  The constant k is pinned by
-F_T(a) = a and comes out real and positive.
+F_T(a) = a and comes out real and positive.  Under t = (b-a) xi / (a (b-xi))
+the map is the incomplete beta function a I_t(1/5, 7/10), which F_T sums in
+closed form; the corner angles below are measured by quadrature.
 """
 
 import cmath

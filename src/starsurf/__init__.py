@@ -6,8 +6,7 @@ from .geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, SIDE_C, TOL_GEO,
                        build_star, build_triangle, icosahedron_vertices,
                        point_location, stereographic_project)
 from .quadrature import DEFAULT_RULE, QuadratureFailure, QuadratureRule
-from .conformal import (F_Kstar, F_Q, F_T, F_T_many, SheetedPoint,
-                        SingularFiber, compute_k, eta, f)
+from .conformal import F_Kstar, F_Q, F_T, SheetedPoint, SingularFiber, compute_k, eta, f
 from .covering import (SheetPermutation, connectivity_check,
                        genus_riemann_hurwitz, monodromy, ramification_report)
 from .metric import Gamma, TangentVector, delta, delta_star, flow, gamma, unit_field
@@ -22,7 +21,7 @@ __all__ = [
     "build_star", "build_triangle", "icosahedron_vertices",
     "point_location", "stereographic_project",
     "DEFAULT_RULE", "QuadratureFailure", "QuadratureRule",
-    "F_Kstar", "F_Q", "F_T", "F_T_many", "SheetedPoint", "SingularFiber",
+    "F_Kstar", "F_Q", "F_T", "SheetedPoint", "SingularFiber",
     "compute_k", "eta", "f",
     "SheetPermutation", "connectivity_check", "genus_riemann_hurwitz",
     "monodromy", "ramification_report",

@@ -67,14 +67,13 @@ def cmd_star(args) -> int:
 
 
 def cmd_map(args) -> int:
-    settings = load_settings(args.config)
-    rule = settings.rule
+    load_settings(args.config)  # a bad config file is a usage error
     if args.action == "eval":
         xi = args.xi
         payload = {
             "xi": _c2l(xi),
             "k": compute_k(),
-            "F_T": _c2l(F_T(xi, rule)) if xi.imag >= 0 else None,
+            "F_T": _c2l(F_T(xi)) if xi.imag >= 0 else None,
             "eta": _c2l(eta(xi, args.sheet)),
             "sheet": args.sheet,
         }
@@ -83,7 +82,7 @@ def cmd_map(args) -> int:
         if not args.svg:
             print("map grid requires --svg", file=sys.stderr)
             return 2
-        svgout.map_grid_scene(build_star(), args.n, rule).write(args.svg)
+        svgout.map_grid_scene(build_star(), args.n).write(args.svg)
         _emit({"svg": args.svg, "n": args.n}, args)
     return 0
 
@@ -117,7 +116,7 @@ def cmd_genus(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    rule = load_settings(args.config).rule
+    load_settings(args.config)  # a bad config file is a usage error
     p = SheetedPoint(args.xi, args.sheet)
     direction = cmath.exp(1j * args.theta)
     n = args.samples
@@ -127,12 +126,12 @@ def cmd_flow(args) -> int:
         for i in range(n + 1):
             if i:
                 p = mt.flow(p, args.t / n, steps=math.ceil(args.steps / n),
-                            direction=direction, rule=rule)
+                            direction=direction)
             samples.append({
                 "t": args.t * i / n,
                 "xi": _c2l(p.xi),
                 "sheet": p.sheet,
-                "delta": _c2l(mt.delta(p, rule)),
+                "delta": _c2l(mt.delta(p)),
             })
         status = 0
     except mt.LeftDomain as exc:

@@ -6,8 +6,14 @@ The defining polynomial is f(xi) = xi^8 (xi-a)^3 (xi-b)^9 and the map is
 
 with prevertices 0, a, b on the real axis going to the corners O, A, B with
 interior angles 2pi/10, 7pi/10, pi/10.  The normalization k is fixed by
-F_T(a) = a and has a closed form (compute_k).  F_T_many maps a sequence
-of points, each from the image before it where that is safe.
+F_T(a) = a and has a closed form (compute_k).  So has the map: the Moebius
+change t = (b - a) xi / (a (b - xi)) sends 0, a, b to 0, 1, infinity and
+the integral to an incomplete beta function,
+
+    F_T(xi) = a * I_t(1/5, 7/10)            (DLMF 8.17, 15.8),
+
+summed by the series of one of five regions (see F_T).  The quadrature
+integral stays as its oracle, F_T(xi, rule), and in corner_angle.
 
 Branch convention.  Sheet 0 is
 
@@ -32,8 +38,7 @@ import numpy as np
 
 from .config import UsageError
 from .geometry import INNER_RADIUS, OUTER_RADIUS
-from .quadrature import (DEFAULT_RULE, QuadratureRule, clog, contour, panel,
-                         segment_point_distance)
+from .quadrature import DEFAULT_RULE, QuadratureRule, clog, contour, panel
 
 A = INNER_RADIUS
 B = OUTER_RADIUS
@@ -46,9 +51,6 @@ SHEET_COUNT = 10
 BRANCH_PHASE = cmath.exp(4j * math.pi / 5)
 #: e^{i pi m/5}, the constant factor from sheet 0 to sheet m
 SHEET_PHASE = tuple(cmath.exp(1j * math.pi * m / 5) for m in range(SHEET_COUNT))
-
-#: clearance below which the integration path detours around a or b
-PATH_CLEARANCE = 0.05
 
 
 class SingularFiber(UsageError):
@@ -129,82 +131,156 @@ def compute_k() -> float:
     return B ** -0.4 * math.gamma(0.9) / (math.gamma(0.2) * math.gamma(0.7))
 
 
-def _real_axis_chain(x: float) -> tuple[list, list]:
-    """Panels [(s0, s1, mu0, mu1)] along the real axis from 0 to x >= 0."""
-    stops = [s for s in (0.0, A, B) if s < x] + [x]
+def _real_axis_chain(x: float) -> list[tuple]:
+    """Panels (s0, s1, mu0, mu1) along the real axis from 0 to x >= 0, split
+    at their midpoints so that each carries at most one endpoint exponent."""
+    stops = [s for s in PREVERTICES if s < x] + [x]
     panels = []
-    for i in range(len(stops) - 1):
-        s0, s1 = stops[i], stops[i + 1]
+    for s0, s1 in zip(stops, stops[1:]):
         mid = (s0 + s1) / 2.0
-        mu0 = MU.get(s0, 0.0)
-        mu1 = MU.get(s1, 0.0)
-        if mu0 and mu1:
-            panels.append((s0, mid, mu0, 0.0))
-            panels.append((mid, s1, 0.0, mu1))
-        else:
-            panels.append((s0, s1, mu0, mu1))
-    return stops, panels
-
-
-def _clear(p: complex, q: complex) -> bool:
-    """Whether the segment [p, q] stays more than PATH_CLEARANCE from a and b."""
-    return min(segment_point_distance(p, q, A),
-               segment_point_distance(p, q, B)) > PATH_CLEARANCE
+        panels += [(s0, mid, MU.get(s0, 0.0), 0.0), (mid, s1, 0.0, MU.get(s1, 0.0))]
+    return panels
 
 
 def _path_to(xi: complex) -> list[complex]:
-    """Waypoints 0 -> xi keeping PATH_CLEARANCE away from a and b en route."""
-    if _clear(0.0, xi) or abs(xi) < A / 2:
+    """Waypoints 0 -> xi: straight where the segment keeps a distance from a
+    and b (xi near 0 or left of the imaginary axis), else down from above."""
+    if xi.real <= 0.0 or abs(xi) < A / 2:
         return [0.0, xi]
-    lift = 1j * max(1.0, abs(xi))
-    if _clear(lift, xi):
-        return [0.0, lift, xi]
-    # descend vertically onto targets close to the real axis near a or b
-    drop = complex(xi.real, max(xi.imag, 0.35))
-    return [0.0, lift, drop, xi]
+    return [0.0, 1j * max(1.0, abs(xi)), xi]
 
 
-def F_T(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
-    """The normalized triangle map on the closed upper half-plane.
-
-    Prevertices themselves are allowed (the integrand exponent there is
-    > -1); other points of the deleted fiber neighborhood are fine too.
-    The image lies in the closed triangle O, A, B.
-    """
+def _F_T_quad(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
+    """F_T by panel quadrature of its integral from 0.  Prevertices
+    themselves are allowed (the integrand exponent there is > -1)."""
     xi = complex(xi)
     if xi.imag < -1e-12:
         raise ValueError("F_T is defined on the closed upper half-plane")
     k = compute_k()
-    if xi.imag <= 0.0 and xi.real >= 0.0:
-        # boundary evaluation, exact endpoint exponents
-        x = xi.real
-        total = 0.0 + 0.0j
-        for (s0, s1, mu0, mu1) in _real_axis_chain(x)[1]:
-            total += panel(_inv_eta, s0, s1, mu0, mu1, rule)
-        return k * total
-    path = _path_to(xi)
-    return k * contour(_inv_eta, path, mu_start=MU[0.0], rule=rule)
+    if xi.imag <= 0.0 and xi.real >= 0.0:  # on the axis, exact endpoint exponents
+        return k * sum(panel(_inv_eta, *p, rule) for p in _real_axis_chain(xi.real))
+    return k * contour(_inv_eta, _path_to(xi), mu_start=MU[0.0], rule=rule)
 
 
-def F_T_many(xis, rule: QuadratureRule = DEFAULT_RULE) -> list[complex]:
-    """F_T at each point of a sequence, in order, by path additivity: a point
-    continues from the previous image, F_prev + k * panel(prev -> xi), when
-    both lie in the open upper half-plane (sheet 0 is continuous there) and
-    the segment between them stays more than PATH_CLEARANCE from a and b.
-    Any other point goes through F_T from 0, with its path and error rule."""
-    k = compute_k()
-    images: list[complex] = []
-    prev = None
-    for xi in map(complex, xis):
-        if prev is not None and prev.imag > 0.0 and xi.imag > 0.0 and _clear(prev, xi):
-            images.append(images[-1] + k * panel(_inv_eta, prev, xi, rule=rule))
-        else:
-            images.append(F_T(xi, rule))
-        prev = xi
-    return images
+# ------------------------------------------------ the closed form a I_t(P, Q)
+
+#: F_T = a I_t(P, Q); about t = infinity the series is B_{1/t}(1 - P - Q, Q)
+P, Q, P_INF = 0.2, 0.7, 0.1
+SERIES_TERMS = 150
+#: a point takes the series whose variable is smallest, unless all four
+#: exceed this; then the Taylor series about T_CENTER (radius 1)
+SWITCH_RADIUS = 0.78
+#: e^{i pi/3}, which the discs |t|, |t/(t-1)|, |1-t|, |1/t| <= 0.78 all miss
+T_CENTER = cmath.exp(1j * math.pi / 3)
 
 
-def F_Q(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
+def _series_tables():
+    """The five series' coefficients, highest degree first, and per region
+    (constant, factor, power of t, power of 1 - t), scaled by a / B(P, Q):
+    F_T = constant + factor t^power (1-t)^power' sum_n c_n x^n."""
+    def beta(p, q):
+        return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+
+    def rising(c):  # (c)_n / n!
+        return np.append(1.0, np.cumprod((j - 1 + c) / j))
+
+    n = np.arange(SERIES_TERMS)
+    j = n[1:]
+    # Taylor coefficients g_m of s^(P-1) (1-s)^(Q-1) about t0, from
+    # s (1-s) g' = [(P-1) - (P+Q-2) s] g
+    t0 = T_CENTER
+    al, be, ga = t0 * (1 - t0), 1 - 2 * t0, (P - 1) - (P + Q - 2) * t0
+    g = [t0 ** (P - 1) * (1 - t0) ** (Q - 1)]
+    g.append(ga * g[0] / al)
+    for m in range(1, SERIES_TERMS - 2):
+        g.append(((ga - be * m) * g[m] + (m + 1 - P - Q) * g[m - 1]) / (al * (m + 1)))
+    rows = np.array([rising(1 - Q) / (P + n),       # in t: B_t(P, Q)
+                     rising(P + Q) / (P + n),       # in t/(t-1): Pfaff
+                     rising(1 - P) / (Q + n),       # in 1-t: B - B_{1-t}(Q, P)
+                     rising(1 - Q) / (P_INF + n),   # in 1/t: B_inf - e^{3 pi i/10} B_{1/t}
+                     np.append(0.0, np.array(g) / j)], dtype=complex)  # in t - t0
+    # the Taylor constant: B_t at 0.75 t0, inside the disc of the t series
+    t1 = 0.75 * t0
+    c = t1 ** P * np.polyval(rows[0][::-1], t1) - np.polyval(rows[4][::-1], t1 - t0)
+    b, e3 = beta(P, Q), cmath.exp(0.3j * math.pi)
+    consts = (0.0, 0.0, b, b + e3 * beta(P_INF, Q), c)
+    regions = [(A * const / b, sigma, lam, mu) for const, sigma, lam, mu in
+               zip(consts, (1, 1, -1, -e3, 1), (P, P, 0, -P_INF, 0), (0, -P, Q, 0, 0))]
+    return rows[:, ::-1] * (A / b), np.array(regions, dtype=complex)
+
+
+_COEFFS, _REGION_ROWS = _series_tables()
+#: for arrays: the n-th row holds every region's n-th coefficient
+_HORNER = _COEFFS.T.copy()
+#: the same tables as Python numbers, for the scalar path
+_ROWS, _REGIONS = _COEFFS.tolist(), _REGION_ROWS.tolist()
+#: exact images of the prevertices; that of b is the closed-form corner
+#: a (1 + e^{3 pi i/10} B(1/10, 7/10) / B(1/5, 7/10))
+CORNERS = {0.0: 0j, A: complex(A), B: _REGIONS[3][0]}
+
+
+def _series_inputs(x, y):
+    """t, s_bar = 1 - conj(t), the sizes of the four series variables and the
+    five variables at xi = x + iy, on floats or arrays.  The parts of t and
+    1 - t avoid cancellation near 0, a and b; Im t is +0.0 on the axis."""
+    den = A * ((B - x) ** 2 + y * y)
+    ti = B * (B - A) * y / den
+    t = (B - A) * (x * (B - x) - y * y) / den + 1j * ti
+    s_bar = B * ((A - x) * (B - x) + y * y) / den + 1j * ti
+    rt, rs, s = abs(t), abs(s_bar), s_bar.conjugate()
+    return t, s_bar, (rt, rt / rs, rs, 1 / rt), (t, -t / s, s, 1 / t, t - T_CENTER)
+
+
+def F_T(xi, rule: QuadratureRule | None = None):
+    """The normalized triangle map a I_t(1/5, 7/10) on the closed upper
+    half-plane, at a point or elementwise on an array.
+
+    log t = clog(t) and log(1 - t) = conj(clog(s_bar)) take the upper side of
+    the real axis, so arg(1 - t) = -pi on t > 1 (the edge AB).  Points and
+    arrays read one table and one region rule: one Horner sum per point.
+    Given a quadrature rule, F_T(xi, rule) integrates by quadrature instead,
+    at a point: the oracle of the closed form.
+    """
+    if rule is not None:
+        return _F_T_quad(xi, rule)
+    if not isinstance(xi, (int, float, complex)):
+        xi = np.asarray(xi, dtype=complex)
+        return _F_T_array(xi.ravel()).reshape(xi.shape)
+    xi = complex(xi)
+    if xi.imag < -1e-12:
+        raise ValueError("F_T is defined on the closed upper half-plane")
+    y = max(xi.imag, 0.0)
+    if y == 0.0 and xi.real in CORNERS:
+        return CORNERS[xi.real]
+    t, s_bar, radii, variables = _series_inputs(xi.real, y)
+    r = radii.index(min(radii)) if min(radii) <= SWITCH_RADIUS else 4
+    x, acc = variables[r], 0j
+    for c in _ROWS[r]:
+        acc = acc * x + c
+    const, sigma, lam, mu = _REGIONS[r]
+    return const + sigma * cmath.exp(lam * clog(t) + mu * clog(s_bar).conjugate()) * acc
+
+
+def _F_T_array(xi: np.ndarray) -> np.ndarray:
+    if np.any(xi.imag < -1e-12):
+        raise ValueError("F_T is defined on the closed upper half-plane")
+    x, y = xi.real, np.maximum(xi.imag, 0.0)
+    corner = (y == 0.0) & np.isin(x, tuple(CORNERS))
+    # a regular stand-in at the corners, whose images are set at the end
+    t, s_bar, radii, variables = _series_inputs(x, np.where(corner, 1.0, y))
+    radii = np.stack(radii)
+    r = np.where(radii.min(0) > SWITCH_RADIUS, 4, radii.argmin(0))
+    var, acc = np.choose(r, variables), _HORNER[0][r]  # acc: a fresh array
+    for row in _HORNER[1:]:
+        acc *= var
+        acc += row[r]
+    const, sigma, lam, mu = _REGION_ROWS[r].T
+    out = const + sigma * np.exp(lam * clog(t) + mu * clog(s_bar).conjugate()) * acc
+    out[corner] = [CORNERS[v] for v in x[corner]]
+    return out
+
+
+def F_Q(xi: complex) -> complex:
     """Schwarz reflection of F_T across (0, a): conj-symmetric on the plane.
 
     Upper half-plane -> T, lower half-plane -> conj(T); the union is the
@@ -212,26 +288,25 @@ def F_Q(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
     """
     xi = complex(xi)
     if xi.imag >= 0.0:
-        return F_T(xi, rule)
-    return F_T(xi.conjugate(), rule).conjugate()
+        return F_T(xi)
+    return F_T(xi.conjugate()).conjugate()
 
 
-def F_Kstar(xi: complex, nu: int, rule: QuadratureRule = DEFAULT_RULE) -> complex:
+def F_Kstar(xi: complex, nu: int) -> complex:
     """Sector map: eps^nu * F_Q, landing in the nu-th rotated kite of K."""
     if not 0 <= nu < 5:
         raise ValueError("nu must be in 0..4")
-    return cmath.exp(2j * math.pi * nu / 5) * F_Q(xi, rule)
+    return cmath.exp(2j * math.pi * nu / 5) * F_Q(xi)
 
 
-def corner_angle(prevertex: float, delta: float = 1e-4,
-                 rule: QuadratureRule = DEFAULT_RULE) -> float:
-    """Interior angle of the image corner at F_T(prevertex).
+def corner_angle(prevertex: float, delta: float = 1e-4) -> float:
+    """Interior angle of the image corner at F_T(prevertex), by quadrature.
 
     Measured between the image steps F_T(prevertex -/+ delta) - F_T(prevertex)
     along the real axis, each integrated from the prevertex itself (path
     additivity), so no difference of two whole images loses digits.
     """
     mu = MU.get(prevertex, 0.0)
-    v1 = panel(_inv_eta, prevertex, prevertex - delta, mu0=mu, rule=rule)
-    v2 = panel(_inv_eta, prevertex, prevertex + delta, mu0=mu, rule=rule)
+    v1 = panel(_inv_eta, prevertex, prevertex - delta, mu0=mu)
+    v2 = panel(_inv_eta, prevertex, prevertex + delta, mu0=mu)
     return abs(cmath.phase(v2 / v1))

@@ -319,8 +319,10 @@ def _edge_division(u: complex) -> tuple[float, float, float]:
 
 def locate_kinds(zs, star: StarPolygon, tol: float = TOL_GEO) -> tuple[np.ndarray, int]:
     """Kind codes (indices into KINDS) of point_location for an array of
-    points, and how many of them the exact kernel decided."""
-    z = np.asarray(zs, dtype=complex)
+    points (of any shape, a single point included), and how many of them the
+    exact kernel decided."""
+    shape = np.shape(zs)
+    z = np.atleast_1d(np.asarray(zs, dtype=complex))
     # signed distances to the edge lines, positive on the center's side
     s = ((z[..., None] - [line.foot for line in star.edge_lines])
          * np.conj([line.direction for line in star.edge_lines])).imag
@@ -328,7 +330,7 @@ def locate_kinds(zs, star: StarPolygon, tol: float = TOL_GEO) -> tuple[np.ndarra
     margin = 2 * tol + 1e-12
     near = np.any(np.abs(s) < margin, axis=-1) | (np.abs(z - star.center) < margin)
     kinds[near] = _exact_kinds(z[near], star, tol)
-    return kinds, int(np.count_nonzero(near))
+    return kinds.reshape(shape), int(np.count_nonzero(near))
 
 
 def _exact_kinds(z: np.ndarray, star: StarPolygon, tol: float) -> np.ndarray:

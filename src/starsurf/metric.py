@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .conformal import (PREVERTICES, SHEET_COUNT, SHEET_PHASE, F_Kstar, F_Q,
                         SheetedPoint, compute_k, eta_ref, f_prime)
 from .geometry import build_triangle
-from .quadrature import DEFAULT_RULE, QuadratureRule
 
 #: sheet -> sector of the star-level developing map
 SECTOR_OF_SHEET = (2, 0, 3, 1, 4, 2, 0, 3, 1, 4)
@@ -76,13 +75,13 @@ def unit_field(p: SheetedPoint) -> TangentVector:
     return TangentVector(p, p.eta / k)
 
 
-def delta(p: SheetedPoint, rule: QuadratureRule = DEFAULT_RULE) -> complex:
+def delta(p: SheetedPoint) -> complex:
     """Triangle-level developing map: forget the sheet, apply the map.
 
     Upper half-plane points land in the closed triangle; lower half-plane
     points are developed through the Schwarz reflection.
     """
-    return F_Q(p.xi, rule)
+    return F_Q(p.xi)
 
 
 def push_delta(p: SheetedPoint, v: TangentVector) -> complex:
@@ -99,12 +98,11 @@ def sector_of_sheet(sheet: int) -> int:
     return SECTOR_OF_SHEET[sheet % SHEET_COUNT]
 
 
-def delta_star(p: SheetedPoint, rule: QuadratureRule = DEFAULT_RULE,
-               nu: int | None = None) -> complex:
+def delta_star(p: SheetedPoint, nu: int | None = None) -> complex:
     """Star-level developing map eps^nu * F_Q with nu read off the sheet."""
     if nu is None:
         nu = sector_of_sheet(p.sheet)
-    return F_Kstar(p.xi, nu, rule)
+    return F_Kstar(p.xi, nu)
 
 
 def _snap(xi: complex, w: complex) -> tuple[int, complex]:
@@ -116,8 +114,7 @@ def _snap(xi: complex, w: complex) -> tuple[int, complex]:
     return m, SHEET_PHASE[m] * e0
 
 
-def developed_direction(p0: SheetedPoint, direction: complex = 1.0,
-                        rule: QuadratureRule = DEFAULT_RULE) -> complex:
+def developed_direction(p0: SheetedPoint, direction: complex = 1.0) -> complex:
     """Velocity of the developed image of the direction*X flow from p0.
 
     e^{i pi k/5} * direction on the upper half-plane chart; the Schwarz-
@@ -130,8 +127,8 @@ def developed_direction(p0: SheetedPoint, direction: complex = 1.0,
     return direction * phase
 
 
-def flow(p0: SheetedPoint, t: float, steps: int = 256, direction: complex = 1.0,
-         rule: QuadratureRule = DEFAULT_RULE) -> SheetedPoint:
+def flow(p0: SheetedPoint, t: float, steps: int = 256,
+         direction: complex = 1.0) -> SheetedPoint:
     """Integrate the real-time flow of direction * X from p0 for time t.
 
     Classical fixed-step RK4 on xi.  eta is never integrated: at every stage
@@ -147,8 +144,8 @@ def flow(p0: SheetedPoint, t: float, steps: int = 256, direction: complex = 1.0,
     xi = complex(p0.xi)
     sheet, w = p0.sheet, p0.eta  # the exact branch value at xi, continued along the path
     h = t / steps
-    z0 = delta(p0, rule)
-    dev_vel = developed_direction(p0, direction, rule)
+    z0 = delta(p0)
+    dev_vel = developed_direction(p0, direction)
     elapsed = 0.0
 
     def vel(z: complex, w_ref: complex) -> tuple[complex, complex]:

@@ -138,13 +138,3 @@ def contour(f, waypoints, mu_start=0.0, mu_end=0.0,
             continue
         total += panel(f, pts[i], pts[i + 1], m0, m1, rule)
     return total
-
-
-def segment_point_distance(p: complex, q: complex, z: complex) -> float:
-    """Distance from z to the closed segment [p, q]."""
-    u = q - p
-    if u == 0:
-        return abs(z - p)
-    t = ((z - p) / u).real
-    t = min(max(t, 0.0), 1.0)
-    return abs(z - (p + t * u))

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import starsurf
-from starsurf import conformal, metric, quadrature, verify
+from starsurf import metric, verify
 from starsurf.cli import main
 
 
@@ -75,9 +75,7 @@ def test_flow_subcommand(capsys):
     assert abs(advance - 0.1) < 1e-5
 
 
-def test_flow_uses_the_configured_rule_and_marches(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "starsurf.cfg"
-    cfg.write_text("quad_nodes = 32\n")
+def test_flow_marches_from_sample_to_sample(capsys, monkeypatch):
     calls = []
     flow = metric.flow
 
@@ -86,15 +84,13 @@ def test_flow_uses_the_configured_rule_and_marches(tmp_path, capsys, monkeypatch
         return flow(p0, t, **kwargs)
 
     monkeypatch.setattr(metric, "flow", spy)
-    code, out = run(capsys, "--config", str(cfg), "flow", "--xi", "1.1,0.9",
-                    "--t", "0.1", "--samples", "4")
+    code, out = run(capsys, "flow", "--xi", "1.1,0.9", "--t", "0.1", "--samples", "4")
     assert code == 0
     samples = json.loads(out)["samples"]
     advance = complex(*samples[-1]["delta"]) - complex(*samples[0]["delta"])
     assert abs(advance - 0.1) < 1e-5
-    # one flow per sample step, each from the previous sample, with the rule
+    # one flow per sample step, each from the previous sample
     assert len(calls) == 4
-    assert all(kw["rule"].nodes_per_panel == 32 for _p, _t, kw in calls)
     assert all(abs(t - 0.025) < 1e-15 for _p, t, _kw in calls)
     assert all(kw["steps"] == 64 for _p, _t, kw in calls)
     for (p, _t, _kw), prev in zip(calls, samples):
@@ -191,7 +187,7 @@ def test_verify_full_run_reports_known_failures(tmp_path, capsys):
 
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "starsurf.cfg"
-    cfg.write_text("# settings\nquad_nodes = 32\nseed = 7\n")
+    cfg.write_text("# settings\nseed = 7\n")
     code, _ = run(capsys, "--config", str(cfg), "map", "eval", "--xi", "0.2,0.5")
     assert code == 0
 
@@ -203,9 +199,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2
 
 
-# these keys were once parsed but read by nothing; setting one now fails loudly
-@pytest.mark.parametrize("line", ["tol_geo = 1e-9", "tol_map = 1e-8", "quad_kind = tanh-sinh"],
-                         ids=["tol_geo", "tol_map", "quad_kind"])
+# these keys once steered a rule or a tolerance that is gone; setting one now
+# fails loudly (no user path runs quadrature since the map has a closed form)
+@pytest.mark.parametrize("line", ["tol_geo = 1e-9", "tol_map = 1e-8", "quad_kind = tanh-sinh",
+                                  "quad_nodes = 32", "quad_target = 1e-13"],
+                         ids=["tol_geo", "tol_map", "quad_kind", "quad_nodes", "quad_target"])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, line):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
@@ -221,7 +219,7 @@ def test_billiard_bad_start_is_a_usage_error(capsys, z0):
 
 
 @pytest.mark.parametrize("config, argv", [
-    ("quad_nodes = abc", ["map", "eval", "--xi", "0.2,0.5"]),
+    ("seed = abc", ["map", "eval", "--xi", "0.2,0.5"]),
     ("quad_nodes = 2", ["map", "eval", "--xi", "0.2,0.5"]),
     ("", ["map", "eval", "--xi", "0.6180339887498949,0"]),  # the fiber over a
     ("", ["tiling", "--depth", "9"]),
@@ -234,37 +232,37 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, config, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_map_grid_uses_the_configured_rule(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "starsurf.cfg"
-    cfg.write_text("quad_nodes = 32\n")
-    rules = []
-    panel = quadrature.panel
-
-    def spy(f, s0, s1, mu0=0.0, mu1=0.0, rule=quadrature.DEFAULT_RULE, _depth=0):
-        rules.append(rule)
-        return panel(f, s0, s1, mu0, mu1, rule, _depth)
-
-    # F_T_many calls conformal.panel; contour and bisection call quadrature.panel
-    monkeypatch.setattr(quadrature, "panel", spy)
-    monkeypatch.setattr(conformal, "panel", spy)
-    svg = tmp_path / "grid.svg"
-    code, _ = run(capsys, "--config", str(cfg), "map", "grid", "--n", "4", "--svg", str(svg))
-    assert code == 0
-    assert rules and all(r.nodes_per_panel == 32 for r in rules)
-
-
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_scipy_out():
-    # a fresh interpreter, so that no other test's imports count
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter, so that no other test's imports or
+    caches count."""
     path = [str(pathlib.Path(starsurf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code = "import starsurf.cli, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = _fresh_python("import starsurf.cli, sys\n"
+                         "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_map_calls_build_no_quadrature_tables():
+    # the closed-form map needs no Gauss-Jacobi nodes, so a fresh process's
+    # first map calls cost no table set-up
+    proc = _fresh_python(
+        "from starsurf import quadrature\n"
+        "from starsurf.conformal import F_Q, F_T\n"
+        "from starsurf.geometry import build_star\n"
+        "from starsurf.svgout import map_grid_scene\n"
+        "F_T(1 + 1j); F_Q(0.7 - 0.6j); map_grid_scene(build_star(), 12)\n"
+        "size = quadrature._jacobi_nodes.cache_info().currsize\n"
+        "assert size == 0, f'{size} node tables built'\n")
     assert proc.returncode == 0, proc.stderr
 
 

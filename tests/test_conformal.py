@@ -1,15 +1,13 @@
 import cmath
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsurf import conformal
-from starsurf.conformal import (MU, PATH_CLEARANCE, F_Kstar, F_Q, F_T, F_T_many,
+from starsurf.conformal import (BRANCH_PHASE, CORNERS, MU, T_CENTER, F_Kstar, F_Q, F_T,
                                 SheetedPoint, SingularFiber, _inv_eta, compute_k,
                                 corner_angle, eta, eta_ref, f, f_prime)
 from starsurf.geometry import EPSILON, INNER_RADIUS, OUTER_RADIUS, build_triangle
@@ -277,37 +275,81 @@ def test_schwarz_reflection_property(xi):
     assert abs(F_Q(xi.conjugate()) - F_Q(xi).conjugate()) < 1e-12
 
 
-# ------------------------------------------------------ the path-additive map
+# ------------------------------------------------------ the closed-form map
 
-UNIT_UPPER = st.floats(0.05, math.pi - 0.05).map(lambda a: cmath.exp(1j * a))
-#: polyline vertices: anywhere in the upper half-plane box of the map grid,
-#: or inside PATH_CLEARANCE of a or b, where F_T_many must restart from 0
-POLYLINE_POINTS = st.one_of(
-    st.builds(complex, st.floats(-0.5, 2.5), st.floats(0.01, 1.9)),
-    st.builds(lambda s, r, u: s + r * u, st.sampled_from([A, B]),
-              st.floats(0.2 * PATH_CLEARANCE, PATH_CLEARANCE), UNIT_UPPER),
-)
+FINE = QuadratureRule(nodes_per_panel=96, target_abs_err=1e-13)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(POLYLINE_POINTS, min_size=1, max_size=8))
-def test_F_T_many_equals_F_T_pointwise(zs):
-    many = F_T_many(zs)
-    assert len(many) == len(zs)
-    assert max(abs(w - F_T(z)) for w, z in zip(many, zs)) < 1e-11
+def _oracle(xi: complex) -> complex:
+    """F_T by quadrature.  Within 0.01 of a or b the integral starts at that
+    corner, whose image is known, and runs in the offset d = z - s, which no
+    node rounds away: 1/eta_0(s + d) from the prevertex offsets (s - p) + d.
+    It reaches xi through the upper half-plane, so on the axis too."""
+    for s in (A, B):
+        if abs(xi - s) < 1e-2:
+            def integrand(d):
+                return np.exp(-sum(mu * clog((s - p) + d) for p, mu in MU.items())) / BRANCH_PHASE
+            d = xi - s
+            path = [0.0, d / 2 + 0.5j * abs(d), d]
+            return CORNERS[s] + compute_k() * contour(integrand, path, mu_start=MU[s], rule=FINE)
+    return F_T(xi, FINE)
 
 
-def test_F_T_many_chains_clear_steps_and_restarts_near_a_and_b():
-    near_a = A + 0.5 * PATH_CLEARANCE * 1j
-    zs = [0.2 + 0.5j, 0.3 + 0.5j, near_a, 1.2 + 0.6j, 1.3 + 0.6j, B, 1.5 + 0.5j,
-          2.5, 2.5 + 0.4j, 2.4 + 0.4j]
-    with mock.patch.object(conformal, "F_T", wraps=F_T) as spy:
-        many = F_T_many(zs)
-    # restarts: the first point, both steps touching near_a, the boundary
-    # points B and 2.5 and the steps after them; three steps are chained
-    restarts = [zs[0], near_a, zs[3], B, zs[6], 2.5, zs[8]]
-    assert [c.args[0] for c in spy.call_args_list] == restarts
-    assert max(abs(w - F_T(z)) for w, z in zip(many, zs)) < 1e-11
+def _from_t(t: complex) -> complex:
+    """The xi with t(xi) = t: the inverse of t = (b - a) xi / (a (b - xi))."""
+    return A * B * t / ((B - A) + A * t)
+
+
+ANGLE = st.floats(0.0, math.pi)
+#: the closed upper half-plane where each region and each branch is tested
+CLOSED_UPPER = st.one_of(
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.0, 3.0, allow_subnormal=False)),
+    # the four real-axis intervals (-inf, 0), (0, a), (a, b), (b, inf)
+    st.floats(-1e3, -1e-9), st.floats(1e-9, A - 1e-9), st.floats(A + 1e-9, B - 1e-9),
+    st.floats(B + 1e-9, 1e3),
+    # within 1e-12 of a prevertex, on the axis or off it
+    st.builds(lambda s, r, u: s + r * cmath.exp(1j * u), st.sampled_from([0.0, A, B]),
+              st.floats(1e-15, 1e-12), ANGLE),
+    # within 0.1 of e^{i pi/3} in t, where only the Taylor series reaches
+    st.builds(lambda r, u: _from_t(T_CENTER + r * cmath.exp(1j * u)), st.floats(0.0, 0.1),
+              st.floats(-math.pi, math.pi)),
+    # far out, up to |xi| = 1e3
+    st.builds(lambda r, u: r * cmath.exp(1j * u), st.floats(3.0, 1e3), ANGLE),
+).map(lambda z: complex(complex(z).real, max(complex(z).imag, 0.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CLOSED_UPPER)
+def test_closed_form_matches_the_quadrature_oracle(xi):
+    assert abs(F_T(xi) - _oracle(xi)) <= 1e-13
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(CLOSED_UPPER | st.sampled_from([0.0, A, B]), min_size=1, max_size=12))
+def test_F_T_on_an_array_equals_F_T_pointwise(zs):
+    images = F_T(np.array(zs))
+    assert images.shape == (len(zs),)
+    assert max(abs(w - F_T(z)) for w, z in zip(images, zs)) <= 1e-15
+    # any shape, a 0-d array included
+    grid = np.array(zs * 2).reshape(2, len(zs))
+    assert np.array_equal(F_T(grid), np.stack([images, images]))
+    assert F_T(np.array(zs[0])).shape == ()
+
+
+def test_F_T_at_the_prevertices_is_exact():
+    assert F_T(0.0) == 0 and F_T(A) == A
+    assert abs(F_T(B) - B * cmath.exp(1j * math.pi / 5)) <= 1e-15
+    assert F_T(np.array([0.0, A, B])).tolist() == [F_T(0.0), F_T(A), F_T(B)]
+
+
+def test_closed_form_matches_mpmath_betainc():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for xi in (0.3 + 0.4j, 1.1 + 0.9j, -2.0 + 0.5j, _from_t(T_CENTER), 40.0 + 7.0j):
+        x = mp.mpc(xi.real, xi.imag)
+        t = (B - A) * x / (A * (B - x))
+        want = complex(A * mp.betainc(mp.mpf(1) / 5, mp.mpf(7) / 10, 0, t, regularized=True))
+        assert abs(F_T(xi) - want) <= 1e-15
 
 
 def test_sector_map_is_rotated_kite_map():

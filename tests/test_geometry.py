@@ -233,6 +233,14 @@ def test_locate_kinds_agrees_with_point_location(zs):
     assert kinds == [point_location(z, STAR).kind for z in zs]
 
 
+@pytest.mark.parametrize("z", [0.1, 0j, 0.5 + 0.2j, STAR.vertices[3], 5.0])
+def test_locate_kinds_takes_a_single_point(z):
+    kinds, _exact = locate_kinds(z, STAR)
+    assert kinds.shape == () and KINDS[kinds] == point_location(z, STAR).kind
+    grid = locate_kinds([[z, 0.1], [0.2j, z]], STAR)[0]
+    assert grid.shape == (2, 2) and grid[0, 0] == grid[1, 1] == kinds
+
+
 #: the five-line count's margin: nearer any edge line or the center, a point
 #: goes through the exact kernel
 MARGIN = 2 * TOL_GEO + 1e-12
