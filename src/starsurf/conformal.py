@@ -262,6 +262,8 @@ def F_T(xi, rule: QuadratureRule | None = None):
 
 
 def _F_T_array(xi: np.ndarray) -> np.ndarray:
+    if xi.size == 1:  # numpy's in-place product rounds a lone element apart
+        return _F_T_array(np.repeat(xi, 2))[:1]
     if np.any(xi.imag < -1e-12):
         raise ValueError("F_T is defined on the closed upper half-plane")
     x, y = xi.real, np.maximum(xi.imag, 0.0)

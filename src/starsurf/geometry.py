@@ -141,36 +141,6 @@ def reflect_across_ray(z: complex, angle: float) -> complex:
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """z -> mul * (conj(z) if conjugate else z) + shift, with |mul| = 1."""
-
-    mul: complex = 1.0 + 0.0j
-    conjugate: bool = False
-    shift: complex = 0.0 + 0.0j
-
-    def __call__(self, z: complex) -> complex:
-        w = z.conjugate() if self.conjugate else z
-        return self.mul * w + self.shift
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other."""
-        if self.conjugate:
-            mul = self.mul * other.mul.conjugate()
-            shift = self.mul * other.shift.conjugate() + self.shift
-        else:
-            mul = self.mul * other.mul
-            shift = self.mul * other.shift + self.shift
-        return AffineMap(mul, self.conjugate ^ other.conjugate, shift)
-
-    @staticmethod
-    def reflection_in_line(point: complex, direction: complex) -> "AffineMap":
-        u = direction / abs(direction)
-        mul = u * u
-        # z -> p + u^2 conj(z - p)
-        return AffineMap(mul, True, point - mul * point.conjugate())
-
-
-@dataclass(frozen=True)
 class EdgeLine:
     """One of the five lines of the star; each carries two boundary edges."""
 
@@ -180,9 +150,6 @@ class EdgeLine:
 
     def distance(self, z: complex) -> float:
         return abs(((z - self.foot) / self.direction).imag)
-
-    def reflect(self, z: complex) -> complex:
-        return AffineMap.reflection_in_line(self.foot, self.direction)(z)
 
 
 @dataclass(frozen=True)

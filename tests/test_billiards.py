@@ -9,10 +9,78 @@ from hypothesis import strategies as st
 from starsurf.billiards import (BilliardState, CenterCrossing, DegenerateRay,
                                 develop, lift_trajectory, next_event,
                                 reflect_dir, simulate)
-from starsurf.geometry import EPSILON, INNER_RADIUS, build_star, point_location
+from starsurf.config import UsageError
+from starsurf.geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, TOL_GEO,
+                               build_star, point_location)
 from starsurf.quotient import build_reflections, edge_pairing
 
 STAR = build_star()
+
+
+# ------------------------------------------------- the ten-edge scan oracle
+
+def _cross(w1: complex, w2: complex) -> float:
+    return (w1.conjugate() * w2).imag
+
+
+def ten_edge_event(state, star=STAR, tol=TOL_GEO):
+    """next_event by a ray/segment scan of all ten edges: the earliest hit
+    beyond tol, a hit within tol of an edge's endpoint captured there, and a
+    ray collinear with an edge stopping at its endpoints ahead."""
+    z, d = state.pos, state.dir
+    best = None
+
+    def consider(s, kind, idx, point):
+        nonlocal best
+        if s <= tol:
+            return
+        if best is None or s < best[0] - 1e-14:
+            best = (s, kind, idx, point)
+
+    for eid, (i, j) in enumerate(star.edges):
+        p, q = star.vertices[i], star.vertices[j]
+        e = q - p
+        denom = _cross(d, e)
+        if abs(denom) < 1e-14:
+            if abs(_cross(e, p - z)) < tol:
+                for vid, v in ((i, p), (j, q)):
+                    consider(((v - z) / d).real, "reverse", vid, v)
+            continue
+        s = _cross(p - z, e) / denom
+        u = _cross(p - z, d) / denom
+        if s <= tol or u < -tol / abs(e) or u > 1 + tol / abs(e):
+            continue
+        hit = z + s * d
+        for vid, v in ((i, p), (j, q)):
+            if abs(hit - v) <= tol:
+                consider(((v - z) / d).real, "reverse", vid, v)
+                break
+        else:
+            consider(s, "reflect", eid, hit)
+
+    if best is None:
+        raise DegenerateRay(f"no boundary hit from {z} along {d}")
+    s, kind, idx, point = best
+    return kind, idx, point, s
+
+
+def ten_edge_simulate(z0, d, max_events, star=STAR):
+    """(kind, edge or vertex, position) of each event, found by the scan."""
+    state, out = BilliardState(z0, d), []
+    for _ in range(max_events):
+        kind, idx, point, dt = ten_edge_event(state, star)
+        out.append((kind, idx, point))
+        d = reflect_dir(state.dir, idx, star) if kind == "reflect" else -state.dir
+        state = BilliardState(point, d, state.time + dt)
+    return out
+
+
+def _same_event(state):
+    kind, idx, point, dt = next_event(state, STAR)
+    o_kind, o_idx, o_point, o_dt = ten_edge_event(state)
+    assert (kind, idx) == (o_kind, o_idx)
+    assert abs(point - o_point) <= 1e-12 and abs(dt - o_dt) <= 1e-12
+    return kind, idx
 
 
 def test_state_requires_unit_direction():
@@ -219,3 +287,90 @@ def test_development_breaks_at_reversals():
     pieces, residual = develop(traj, STAR)
     assert len(pieces) == 1 + kinds.count("reverse")
     assert residual < 1e-8
+
+
+# ------------------------------------------- the five-line kernel vs the scan
+
+def _kite_point(s, t, flip, nu):
+    """A point of the closed star: s A + t B in the triangle O A B (folded
+    when s + t > 1), mirrored into the kite when flip, rotated by eps^nu."""
+    if s + t > 1:
+        s, t = 1 - s, 1 - t
+    z = s * INNER_RADIUS + t * OUTER_RADIUS * cmath.exp(1j * math.pi / 5)
+    return EPSILON ** nu * (z.conjugate() if flip else z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0, 1), st.floats(0, 1), st.booleans(), st.integers(0, 4),
+       st.floats(0, 2 * math.pi))
+def test_next_event_matches_the_ten_edge_scan(s, t, flip, nu, theta):
+    z0 = _kite_point(s, t, flip, nu)
+    assume(point_location(z0, STAR).kind == "interior")
+    _same_event(BilliardState(z0, cmath.exp(1j * theta)))
+
+
+@pytest.mark.parametrize("seed", [41, 7])
+def test_simulate_matches_the_ten_edge_scan(seed):
+    # the benchmark's launch box: |z0| in [0.05, 0.55], any direction
+    rng = random.Random(seed)
+    for _ in range(224):
+        z0 = rng.uniform(0.05, 0.55) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        d = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        traj = simulate(z0, d, 100)
+        oracle = ten_edge_simulate(z0, d, 100)
+        assert ([(e.kind, e.edge if e.kind == "reflect" else e.vertex) for e in traj.events]
+                == [(kind, idx) for kind, idx, _ in oracle])
+        assert max(abs(e.position - p) for e, (_, _, p) in zip(traj.events, oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize("vid", range(10))
+def test_next_event_at_and_beside_each_vertex(vid):
+    # from the inner pentagon, which sees the whole star: a ray aimed at the
+    # vertex, or at a point of an incident edge within tol of it, reverses
+    # there; a point 2 tol along the edge is an edge hit
+    z0 = 0.02 + 0.01j
+    v = STAR.vertices[vid]
+    for eid in (e for e, ends in enumerate(STAR.edges) if vid in ends):
+        p, q = STAR.edge_endpoints(eid)
+        along = (p + q - 2 * v) / abs(q - p)
+        for offset, expected in ((0.0, ("reverse", vid)), (0.5, ("reverse", vid)),
+                                 (2.0, ("reflect", eid))):
+            target = v + offset * TOL_GEO * along
+            state = BilliardState(z0, (target - z0) / abs(target - z0))
+            assert _same_event(state) == expected
+
+
+@pytest.mark.parametrize("eid", range(10))
+def test_next_event_collinear_rays_on_every_edge(eid):
+    # a ray sliding along an edge, either way, reverses at the endpoint ahead;
+    # toward the inner (reflex) vertex too, where it crosses no line outward
+    p, q = STAR.edge_endpoints(eid)
+    i, j = STAR.edges[eid]
+    for start, end, vid in ((p + 0.25 * (q - p), q, j), (p + 0.75 * (q - p), p, i)):
+        d = (end - start) / abs(end - start)
+        assert _same_event(BilliardState(start, d)) == ("reverse", vid)
+        assert abs(next_event(BilliardState(start, d), STAR)[2] - end) < 1e-12
+
+
+def test_next_event_collinear_ray_on_a_chord_stops_at_the_inner_vertex():
+    # the pentagon's sides lie inside the star, on the edge lines
+    for line in STAR.edge_lines:
+        for sign in (1, -1):
+            kind, vid = _same_event(BilliardState(line.foot, sign * line.direction))
+            # the inner vertex ahead, half a pentagon side 2 a sin(pi/5) away
+            ahead = line.foot + sign * line.direction * INNER_RADIUS * math.sin(math.pi / 5)
+            assert kind == "reverse" and abs(STAR.vertices[vid] - ahead) < 1e-12
+
+
+def test_develop_of_an_empty_trajectory():
+    assert develop(simulate(0.05 + 0.13j, cmath.exp(0.53j), 0)) == ([], 0.0)
+
+
+def test_simulate_rejects_a_zero_direction_and_negative_event_counts():
+    with pytest.raises(UsageError):
+        simulate(0.05 + 0.13j, 0, 3)
+    with pytest.raises(UsageError):
+        simulate(0.05 + 0.13j, 0j, 3)
+    with pytest.raises(UsageError):
+        simulate(0.05 + 0.13j, 1.0, -1)
+    assert issubclass(UsageError, ValueError)
