@@ -2,8 +2,9 @@
 
 Gamma = k^2/|eta|^2 |d xi|^2 makes the developing map an isometry onto the
 triangle.  The field X = (eta/k) d/dxi has Gamma-norm one everywhere, and
-its flow develops to straight unit-speed lines; running it long enough
-leaves the triangle (the geodesic field is incomplete).
+its flow develops to straight unit-speed lines, so a flow is the inverse
+map at a point of that line, found by Newton on the closed-form map;
+running it long enough leaves the kite (the geodesic field is incomplete).
 """
 
 import cmath
@@ -25,14 +26,14 @@ p0 = SheetedPoint(1.1 + 0.9j, 0)
 z0 = delta(p0)
 print(f"\nflow from xi = {p0.xi}, sheet 0; developed start {z0:.6f}")
 for t in (0.05, 0.1, 0.15):
-    p1 = flow(p0, t, steps=200)
+    p1 = flow(p0, t)
     print(f"  t = {t:.2f}: developed image {delta(p1):.9f} "
           f"(defect {abs(delta(p1) - z0 - t):.2e})")
 
 print("\nrotated direction alpha = e^{0.8i}:")
 alpha = cmath.exp(0.8j)
 for t in (0.05, 0.1):
-    p1 = flow(p0, t, steps=200, direction=alpha)
+    p1 = flow(p0, t, direction=alpha)
     print(f"  t = {t:.2f}: defect from the straight line "
           f"{abs(delta(p1) - z0 - t * alpha):.2e}")
 
@@ -41,8 +42,13 @@ for sheet in (0, 3, 7):
     p = SheetedPoint(1.1 + 0.9j, sheet)
     print(f"  sheet {sheet}: direction {developed_direction(p):.6f}")
 
-print("\nrunning for a long time leaves the triangle:")
+print("\ncrossing (0, a) into the lower half-plane adds 2 to the sheet:")
+p = SheetedPoint(0.3 + 0.05j, 0)
+p1 = flow(p, 0.05, direction=-1j)
+print(f"  from xi = {p.xi}, sheet {p.sheet} to xi = {p1.xi:.6f}, sheet {p1.sheet}")
+
+print("\nrunning for a long time leaves the kite:")
 try:
-    flow(p0, 6.0, steps=3000)
+    flow(p0, 6.0)
 except LeftDomain as exc:
     print(f"  LeftDomain: {exc}")

@@ -19,7 +19,7 @@ flip direction, and start a new straight piece.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -48,8 +48,7 @@ class BilliardState:
             raise ValueError(f"|dir| = {n}, expected a unit direction")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     start: complex
     end: complex
     dir: complex
@@ -57,8 +56,7 @@ class Segment:
     t_end: float
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str                 # "reflect" | "reverse"
     position: complex
     time: float
@@ -210,7 +208,7 @@ def lift_trajectory(traj: Trajectory, star: StarPolygon | None = None,
     for ev in traj.events:
         if ev.kind == "reflect":
             sector = _sector_of_point(ev.position, star)
-        new_events.append(replace(ev, sector=sector))
+        new_events.append(ev._replace(sector=sector))
     return Trajectory(traj.segments, tuple(new_events))
 
 

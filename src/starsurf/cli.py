@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import sys
 
 from . import billiards as bl
@@ -125,8 +124,7 @@ def cmd_flow(args) -> int:
         # march from each sample to the next rather than re-integrating from p0
         for i in range(n + 1):
             if i:
-                p = mt.flow(p, args.t / n, steps=math.ceil(args.steps / n),
-                            direction=direction)
+                p = mt.flow(p, args.t / n, direction=direction)
             samples.append({
                 "t": args.t * i / n,
                 "xi": _c2l(p.xi),
@@ -271,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sheet", type=int, default=0, choices=range(SHEET_COUNT))
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--steps", type=_positive_int, default=256)
     p.add_argument("--samples", type=_positive_int, default=8)
     p.add_argument("--json")
     p.set_defaults(func=cmd_flow)

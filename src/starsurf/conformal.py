@@ -13,7 +13,8 @@ the integral to an incomplete beta function,
     F_T(xi) = a * I_t(1/5, 7/10)            (DLMF 8.17, 15.8),
 
 summed by the series of one of five regions (see F_T).  The quadrature
-integral stays as its oracle, F_T(xi, rule), and in corner_angle.
+integral stays as its oracle, F_T(xi, rule), and in corner_angle.  Newton
+on the closed form inverts F_Q on the kite (continue_inverse, F_Q_inv).
 
 Branch convention.  Sheet 0 is
 
@@ -299,6 +300,77 @@ def F_Kstar(xi: complex, nu: int) -> complex:
     if not 0 <= nu < 5:
         raise ValueError("nu must be in 0..4")
     return cmath.exp(2j * math.pi * nu / 5) * F_Q(xi)
+
+
+class LeftDomain(RuntimeError):
+    """A flow or an inverse-map target left the closed kite or met a corner."""
+
+
+#: how far outside the closed kite, or near a corner, a target may lie
+KITE_TOL = 1e-9
+#: the kite's corners O, A, B, conj B; F_Q_inv continues from F_Q(i) = _ANCHOR
+KITE_CORNERS, _ANCHOR = (0j, CORNERS[A], CORNERS[B], CORNERS[B].conjugate()), F_T(1j)
+
+
+def _in_closed_triangle(z: complex, tol: float = KITE_TOL) -> bool:
+    """Whether z lies in the closed triangle T = O A B, to tol."""
+    o, a, b = KITE_CORNERS[:3]
+    return all(((q - p).conjugate() * (z - p)).imag >= -tol for p, q in ((o, a), (a, b), (b, o)))
+
+
+def _newton(xi: complex, w: complex) -> tuple[complex, bool]:
+    """At most 40 Newton steps on F_Q(xi) = w from xi, while the residual
+    falls, with F_Q' = k/eta_0 (conjugated below the axis): the best iterate,
+    and whether it converged, to KITE_TOL or to 64 ulps of that iterate."""
+    k, best, r_best, step, e = compute_k(), xi, math.inf, math.inf, 0j
+    for _ in range(40):
+        res = F_Q(xi) - w
+        if not abs(res) < r_best:
+            break
+        best, r_best = xi, abs(res)
+        if r_best <= 4e-16 or (xi.imag == 0.0 and xi.real in CORNERS):
+            break
+        e = eta_ref(xi) if xi.imag >= 0.0 else eta_ref(xi.conjugate()).conjugate()
+        step = res * e / k
+        xi = xi - step
+        if xi.imag * best.imag < 0.0 and not 0.0 < xi.real < A:
+            xi = xi.conjugate()  # F_Q jumps across the axis there: stay on best's side
+    return best, r_best <= KITE_TOL or abs(step) <= 1.4e-14 * (abs(best) + abs(w * e) / k)
+
+
+def continue_inverse(xi: complex, z: complex, w: complex) -> complex:
+    """The xi' with F_Q(xi') = w, continued from F_Q(xi) = z along [z, w]
+    by Newton in one leg, halved while Newton fails.  Raises LeftDomain
+    unless [z, w] lies in the closed kite and w is no corner: the kite is a
+    dart, reflex at A, so a path from T to conj T crosses (0, a)."""
+    if not (_in_closed_triangle(w) or _in_closed_triangle(w.conjugate())):
+        raise LeftDomain(f"target {w:.6f} lies outside the closed kite")
+    if min(abs(w - c) for c in KITE_CORNERS) <= KITE_TOL:
+        raise LeftDomain(f"target {w:.6f} is a corner of the kite")
+    if z.imag * w.imag < 0.0:
+        x = z.real + (w.real - z.real) * z.imag / (z.imag - w.imag)
+        if not KITE_TOL < x < A - KITE_TOL:
+            raise LeftDomain(f"path from {z:.6f} to {w:.6f} leaves the kite at {x:.6f}")
+    done, leg = 0.0, 1.0
+    while done < 1.0:
+        leg = min(leg, 1.0 - done)
+        nxt, ok = _newton(xi, w - (1.0 - done - leg) * (w - z))
+        if ok:
+            xi, done = nxt, done + leg
+        elif leg > 2.0 ** -30:
+            leg /= 2
+        else:
+            raise LeftDomain(f"Newton continuation to {w:.6f} stalled at {xi}")
+    return xi
+
+
+def F_Q_inv(w: complex) -> complex:
+    """The inverse of F_Q on the closed kite less its corners: continued
+    from xi = i, or from -i for w below the axis, so the path stays in T or
+    in conj T."""
+    w = complex(w)
+    below = w.imag < 0.0
+    return continue_inverse(-1j if below else 1j, _ANCHOR.conjugate() if below else _ANCHOR, w)
 
 
 def corner_angle(prevertex: float, delta: float = 1e-4) -> float:

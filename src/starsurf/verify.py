@@ -227,32 +227,31 @@ def check_isometry_straightening(seed: int = 11) -> CheckResult:
         X = mt.unit_field(p)
         res_unit = max(res_unit, abs(mt.Gamma(p, X, X) - 1.0))
 
-    res_flow = 0.0
+    # each flow runs by Newton on the inverse map and by RK4, its oracle
+    flows = []
     for _ in range(6):
         p0 = SheetedPoint(complex(rng.uniform(0.6, 1.6), rng.uniform(0.8, 1.3)),
                           rng.randrange(10))
-        z0 = mt.delta(p0)
-        t = rng.uniform(0.05, 0.2)
-        p1 = mt.flow(p0, t, steps=200)
-        res_flow = max(res_flow, abs(mt.delta(p1) - z0
-                                     - t * mt.developed_direction(p0)))
+        flows.append((p0, rng.uniform(0.05, 0.2), 1.0))
+    flows += [(SheetedPoint(1.05 + 1.0j, 0), 0.12, cmath.exp(1j * theta))
+              for theta in (0.4, 1.2, 2.2, -0.9)]
+    res, res_rk4, gap = [], [], 0.0
+    for p0, t, alpha in flows:
+        expected = mt.delta(p0) + t * mt.developed_direction(p0, alpha)
+        p1, q1 = mt.flow(p0, t, direction=alpha), mt.flow_rk4(p0, t, steps=200, direction=alpha)
+        res.append(abs(mt.delta(p1) - expected))
+        res_rk4.append(abs(mt.delta(q1) - expected))
+        gap = max(gap, abs(p1.xi - q1.xi) if p1.sheet == q1.sheet else math.inf)
+    res_flow, res_dir = max(res[:6]), max(res[6:])
 
-    res_dir = 0.0
-    for theta in (0.4, 1.2, 2.2, -0.9):
-        alpha = cmath.exp(1j * theta)
-        p0 = SheetedPoint(1.05 + 1.0j, 0)
-        z0 = mt.delta(p0)
-        t = 0.12
-        p1 = mt.flow(p0, t, steps=200, direction=alpha)
-        res_dir = max(res_dir, abs(mt.delta(p1) - z0 - t * alpha))
-
-    ok = res_unit < 1e-8 and res_flow < 1e-6 and res_dir < 1e-6
+    ok = res_unit < 1e-8 and res_flow < 1e-6 and res_dir < 1e-6 and gap < 1e-6
     return _result("07-isometry-straightening",
                    "unit field has metric norm 1; developed flows advance linearly in every direction",
                    ok,
-                   f"norm residual {res_unit:.2e}, flow residual {res_flow:.2e}, "
-                   f"rotated residual {res_dir:.2e}",
-                   "1e-8 (norm), 1e-6 (flows)")
+                   f"norm residual {res_unit:.2e}, flow residual {res_flow:.2e} "
+                   f"(RK4 {max(res_rk4[:6]):.2e}), rotated residual {res_dir:.2e} "
+                   f"(RK4 {max(res_rk4[6:]):.2e}), endpoint gap {gap:.2e}",
+                   "1e-8 (norm), 1e-6 (flows and endpoint gap)")
 
 
 # ---------------------------------------------------------------- criterion 8

@@ -89,28 +89,13 @@ def test_flow_marches_from_sample_to_sample(capsys, monkeypatch):
     samples = json.loads(out)["samples"]
     advance = complex(*samples[-1]["delta"]) - complex(*samples[0]["delta"])
     assert abs(advance - 0.1) < 1e-5
-    # one flow per sample step, each from the previous sample
+    # one flow per sample step, each from the previous sample, with no step
+    # count: the flow is exact to rounding
     assert len(calls) == 4
     assert all(abs(t - 0.025) < 1e-15 for _p, t, _kw in calls)
-    assert all(kw["steps"] == 64 for _p, _t, kw in calls)
+    assert all(set(kw) == {"direction"} for _p, _t, kw in calls)
     for (p, _t, _kw), prev in zip(calls, samples):
         assert [p.xi.real, p.xi.imag] == prev["xi"] and p.sheet == prev["sheet"]
-
-
-@pytest.mark.parametrize("steps, samples, per_sample", [(3, 8, 1), (10, 4, 3), (256, 8, 32)])
-def test_flow_splits_steps_over_samples(capsys, monkeypatch, steps, samples, per_sample):
-    calls = []
-    flow = metric.flow
-
-    def spy(p0, t, **kwargs):
-        calls.append(kwargs["steps"])
-        return flow(p0, t, **kwargs)
-
-    monkeypatch.setattr(metric, "flow", spy)
-    code, _out = run(capsys, "flow", "--xi", "1.1,0.9", "--t", "0.1",
-                     "--steps", str(steps), "--samples", str(samples))
-    assert code == 0
-    assert calls == [per_sample] * samples
 
 
 def test_billiard_subcommand(tmp_path, capsys):
@@ -268,19 +253,20 @@ def test_map_calls_build_no_quadrature_tables():
 
 @pytest.mark.parametrize("argv", [
     ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--sheet", "12"],
-    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "0"],
-    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "-5"],
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "64"],
     ["map", "eval", "--xi", "0.3,0.4", "--sheet", "12"],
     ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--samples", "0"],
     ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--samples", "-5"],
     ["map", "grid", "--n", "0", "--svg", "grid.svg"],
     ["map", "grid", "--n", "-2", "--svg", "grid.svg"],
     ["billiard", "--z0", "0.05,0.13", "--theta", "0.53", "--events", "-3"],
-], ids=["flow-sheet", "flow-steps-0", "flow-steps-negative", "map-eval-sheet",
+], ids=["flow-sheet", "flow-steps", "map-eval-sheet",
         "flow-samples-0", "flow-samples-negative", "map-grid-n-0", "map-grid-n-negative",
         "billiard-events-negative"])
 def test_bad_sheet_or_steps_is_a_usage_error(capsys, argv):
+    # flow --steps is gone: it set the resolution of the RK4 flow
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error: argument --" in capsys.readouterr().err
+    message = "unrecognized arguments" if "--steps" in argv else "error: argument --"
+    assert message in capsys.readouterr().err

@@ -4,12 +4,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starsurf.conformal import (BRANCH_PHASE, CORNERS, MU, T_CENTER, F_Kstar, F_Q, F_T,
-                                SheetedPoint, SingularFiber, _inv_eta, compute_k,
-                                corner_angle, eta, eta_ref, f, f_prime)
+from starsurf.conformal import (BRANCH_PHASE, CORNERS, KITE_CORNERS, MU, T_CENTER, F_Kstar,
+                                F_Q, F_Q_inv, F_T, LeftDomain, SheetedPoint, SingularFiber,
+                                _inv_eta, compute_k, corner_angle, eta, eta_ref, f, f_prime)
 from starsurf.geometry import EPSILON, INNER_RADIUS, OUTER_RADIUS, build_triangle
 from starsurf.quadrature import QuadratureRule, _jacobi_nodes, _panel_gj, clog, contour, panel
 
@@ -372,3 +372,59 @@ def test_integrand_endpoint_exponents_are_integrable():
     from starsurf.conformal import MU
     assert MU == {0.0: 0.8, A: 0.3, B: 0.9}
     assert all(0 < mu < 1 for mu in MU.values())
+
+
+# --------------------------------------------------- the inverse map F_Q_inv
+
+EPS = 2.0 ** -52
+
+
+@st.composite
+def kite_points(draw):
+    """Points of the closed triangle (edges included), or of the open kite."""
+    u, v = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    if u + v > 1.0:
+        u, v = 1.0 - u, 1.0 - v
+    w = u * A + v * CORNERS[B]
+    if draw(st.booleans()):  # the lower half, less its outer edges
+        assume(u > 0.0 and u + v < 1.0)
+        w = w.conjugate()
+    return w
+
+
+@settings(max_examples=400, deadline=None)
+@given(kite_points())
+def test_F_Q_inv_is_a_right_inverse(w):
+    # 1e-13 where floats resolve it; within 0.5 of B the pi/10 corner
+    # squeezes a xi-disc of 1e-3 onto a w-disc of 0.5, so the bound there is
+    # what a rounding of xi moves F_Q: |F_Q'| ulp(xi), plus one of w
+    assume(min(abs(w - c) for c in KITE_CORNERS[:2]) > 1e-6)
+    far_from_B = min(abs(w - c) for c in KITE_CORNERS[2:])
+    assume(far_from_B > 0.05)
+    xi = F_Q_inv(w)
+    dF = compute_k() / eta_ref(xi if xi.imag >= 0.0 else xi.conjugate())
+    assert abs(F_Q(xi) - w) <= 1e-13 + 64 * EPS * (abs(xi) * abs(dF) + abs(w))
+    if far_from_B > 0.5:
+        assert abs(F_Q(xi) - w) <= 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(complex, st.floats(-1.0, 3.0), st.floats(-2.0, 2.0)))
+def test_F_Q_inv_is_a_left_inverse(xi):
+    assume(min(abs(xi - s) for s in (0.0, A, B)) > 1e-3)
+    assert abs(F_Q_inv(F_Q(xi)) - xi) <= 1e-12 * (1.0 + abs(xi))
+
+
+@pytest.mark.parametrize("w", [1.0 + 0j, -0.01 + 0.01j, 2.0 + 2.0j, 0.6 - 1.0j,
+                               *KITE_CORNERS, 1e-10 + 1e-10j])
+def test_F_Q_inv_rejects_targets_off_the_kite_or_at_a_corner(w):
+    with pytest.raises(LeftDomain):
+        F_Q_inv(w)
+
+
+def test_F_Q_inv_near_B_lands_on_the_singular_fiber():
+    # within about 0.05 of B, the preimage is within 1e-13 of b; the corner's
+    # edges leave B at angles 1.2 pi (to O) and 1.3 pi (to A)
+    for u in (1.21, 1.25, 1.29):
+        xi = F_Q_inv(CORNERS[B] + 0.01 * cmath.exp(1j * math.pi * u))
+        assert abs(xi - B) <= 1e-13

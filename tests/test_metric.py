@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starsurf.conformal import (PREVERTICES, SHEET_COUNT, SheetedPoint, eta_ref,
-                                f_prime, sheet_values)
+from starsurf.conformal import (CORNERS, PREVERTICES, SHEET_COUNT, SHEET_PHASE, F_Q,
+                                F_Q_inv, SheetedPoint, eta_ref, f_prime, sheet_values)
 from starsurf.covering import conjugate_sheeted, rotate_sheeted
 from starsurf.geometry import EPSILON, build_star, point_location
 from starsurf.metric import (Gamma, LeftDomain, SECTOR_OF_SHEET, TangentVector,
-                             delta, delta_star, developed_direction, flow,
+                             delta, delta_star, developed_direction, flow, flow_rk4,
                              gamma, push_delta, sector_of_sheet, unit_field, _snap)
 
 
@@ -159,15 +159,19 @@ def test_phase_read_picks_the_scanned_sheet(xi, m, offset, modulus):
     assert value == sheet_values(xi)[sheet]
 
 
-def test_flow_time_zero_is_identity():
-    p = SheetedPoint(1.0 + 1.0j, 6)
+@settings(max_examples=60, deadline=None)
+@given(st.builds(complex, st.floats(-1.0, 3.0), st.floats(-2.0, 2.0)),
+       st.integers(0, SHEET_COUNT - 1))
+def test_flow_time_zero_is_identity(xi, sheet):
+    assume(min(abs(xi - s) for s in PREVERTICES) > 1e-3)
+    p = SheetedPoint(xi, sheet)
     assert flow(p, 0.0) == p
 
 
 def test_flow_advances_developed_image_linearly():
     p0 = SheetedPoint(1.1 + 0.9j, 0)
     z0 = delta(p0)
-    p1 = flow(p0, 0.1, steps=200)
+    p1 = flow(p0, 0.1)
     assert abs(delta(p1) - z0 - 0.1) < 1e-6
 
 
@@ -176,7 +180,7 @@ def test_flow_rotated_directions_develop_straight():
     z0 = delta(p0)
     for theta in (0.5, 2.0, -1.2):
         alpha = cmath.exp(1j * theta)
-        p1 = flow(p0, 0.1, steps=150, direction=alpha)
+        p1 = flow(p0, 0.1, direction=alpha)
         assert abs(delta(p1) - z0 - 0.1 * alpha) < 1e-6
 
 
@@ -185,7 +189,7 @@ def test_flow_geodesics_develop_collinear():
     p0 = SheetedPoint(0.9 + 1.1j, 2)
     zs = [delta(p0)]
     for t in (0.05, 0.1):
-        zs.append(delta(flow(p0, t, steps=150)))
+        zs.append(delta(flow(p0, t)))
     u = zs[2] - zs[0]
     assert abs(((zs[1] - zs[0]) / u).imag) < 1e-8
 
@@ -194,16 +198,88 @@ def test_flow_on_every_sheet_matches_phase():
     for k in range(10):
         p0 = SheetedPoint(1.1 + 1.0j, k)
         z0 = delta(p0)
-        p1 = flow(p0, 0.04, steps=100)
+        p1 = flow(p0, 0.04)
         assert abs(delta(p1) - z0 - 0.04 * developed_direction(p0)) < 1e-7
 
 
 def test_flow_leaves_domain_in_finite_time():
     p0 = SheetedPoint(1.1 + 0.9j, 0)
     with pytest.raises(LeftDomain):
-        flow(p0, 6.0, steps=3000)
+        flow(p0, 6.0)
 
 
 def test_flow_rejects_bad_steps():
     with pytest.raises(ValueError):
-        flow(SheetedPoint(1 + 1j, 0), 0.1, steps=0)
+        flow_rk4(SheetedPoint(1 + 1j, 0), 0.1, steps=0)
+
+
+def _start(z0, sheet, velocity):
+    """A sheeted point over the developed point z0, and the direction whose
+    flow advances its developed image along velocity."""
+    p0 = SheetedPoint(F_Q_inv(z0), sheet)
+    return p0, velocity / developed_direction(p0)
+
+
+def _agree_with_rk4(p0, t, direction):
+    p1, q1 = flow(p0, t, direction=direction), flow_rk4(p0, t, steps=400, direction=direction)
+    assert p1.sheet == q1.sheet
+    assert abs(p1.xi - q1.xi) <= 1e-8
+    assert abs(delta(p1) - delta(p0) - t * developed_direction(p0, direction)) <= 1e-14
+    return p1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.2, 0.45), st.floats(0.6, math.pi - 0.6), st.floats(0.01, 0.1),
+       st.floats(0.01, 0.1), st.integers(0, SHEET_COUNT - 1), st.booleans())
+def test_flows_across_the_diagonal_match_rk4(x, angle, before, after, sheet, upward):
+    # the developed segment crosses (0, a) at x, and stays at least 0.1 from
+    # the kite's outer edges, from T into conj T (or back); crossing
+    # downward adds 2 to the sheet
+    v = cmath.exp(-1j * angle)
+    z0 = x - before * v
+    if upward:
+        z0, v = z0.conjugate(), v.conjugate()
+    p0, direction = _start(z0, sheet, v)
+    p1 = _agree_with_rk4(p0, before + after, direction)
+    assert (p1.xi.imag < 0) != (p0.xi.imag < 0)
+    assert p1.sheet == (sheet + (-2 if upward else 2)) % SHEET_COUNT
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.4, 1.1), st.floats(0.6, 1.0), st.booleans(), st.integers(0, SHEET_COUNT - 1),
+       st.floats(0.0, 2 * math.pi), st.floats(0.0, 0.09))
+def test_flows_match_rk4(x, y, lower, sheet, theta, t):
+    # the benchmark's flow box: developed images start at least 0.11 inside
+    # the kite, so these flows stay in it
+    _agree_with_rk4(SheetedPoint(complex(x, -y if lower else y), sheet), t,
+                    cmath.exp(1j * theta))
+
+
+@pytest.mark.parametrize("z0, velocity, t", [
+    (0.4 + 0.1j, 1.0 + 0j, 2.0),    # ends outside, beyond the edge AB
+    (1.0 + 0.6j, -1j, 1.2),         # ends in conj T, but crosses the axis beyond a
+], ids=["outside", "around-A"])
+def test_flow_leaving_the_kite_raises_like_rk4(z0, velocity, t):
+    p0, direction = _start(z0, 0, velocity)
+    with pytest.raises(LeftDomain):
+        flow(p0, t, direction=direction)
+    with pytest.raises(LeftDomain):
+        flow_rk4(p0, t, steps=400, direction=direction)
+
+
+B_IMAGE = CORNERS[PREVERTICES[2]]
+
+
+@pytest.mark.parametrize("start, target", [
+    (1.1 + 0.9j, 0j), (1.1 + 0.9j, complex(PREVERTICES[1])), (1.1 + 0.9j, B_IMAGE),
+    (1.1 - 0.9j, B_IMAGE.conjugate()),
+    # through the reflex corner A, from T into conj T
+    (F_Q_inv(PREVERTICES[1] + 0.1j), PREVERTICES[1] - 0.1j),
+    # within 0.01 of B, where the preimage rounds onto the fiber over b
+    (1.1 + 0.9j, B_IMAGE + 0.01 * cmath.exp(1.25j * math.pi)),
+], ids=["O", "A", "B", "conj-B", "through-A", "near-B"])
+def test_flow_to_or_through_a_corner_raises(start, target):
+    p0 = SheetedPoint(start, 3)
+    velocity = target - delta(p0)
+    with pytest.raises(LeftDomain):
+        flow(p0, abs(velocity), direction=velocity / abs(velocity) / developed_direction(p0))
