@@ -253,14 +253,15 @@ def test_map_calls_build_no_quadrature_tables():
 
 @pytest.mark.parametrize("argv", [
     ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--sheet", "12"],
-    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "64"],
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "0"],
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--steps", "-5"],
     ["map", "eval", "--xi", "0.3,0.4", "--sheet", "12"],
     ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--samples", "0"],
     ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--samples", "-5"],
     ["map", "grid", "--n", "0", "--svg", "grid.svg"],
     ["map", "grid", "--n", "-2", "--svg", "grid.svg"],
     ["billiard", "--z0", "0.05,0.13", "--theta", "0.53", "--events", "-3"],
-], ids=["flow-sheet", "flow-steps", "map-eval-sheet",
+], ids=["flow-sheet", "flow-steps-0", "flow-steps-negative", "map-eval-sheet",
         "flow-samples-0", "flow-samples-negative", "map-grid-n-0", "map-grid-n-negative",
         "billiard-events-negative"])
 def test_bad_sheet_or_steps_is_a_usage_error(capsys, argv):
