@@ -3,11 +3,12 @@ and the unfolding that certifies broken geodesics are straight per chart.
 
 Rules: a unit-speed ray from the interior reflects specularly when it meets
 the interior of an edge and reverses (dir -> -dir) when it meets a vertex.
-Events come from the star's five edge lines: the event is the earliest
-outward line crossing beyond tol that lies on one of the line's two edges,
-captured by a vertex within tol of it; a ray sliding along a line stops at
-the first vertex ahead.  Hits within tol of the current position are
-skipped so boundary starts run their full first segment.
+Events read the star's five edge lines from geometry.star_lines, the
+table point location reads: the event is the earliest outward line
+crossing beyond tol that lies on one of the line's two edges, captured by
+a vertex within tol of it; a ray sliding along a line stops at the first
+vertex ahead.  Hits within tol of the current position are skipped so
+boundary starts run their full first segment.
 
 Lifting: each reflection event is tagged with the chord-pairing reflection
 T_m that identifies the hit edge with its partner, plus a running sector
@@ -24,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .config import UsageError
-from .geometry import StarPolygon, TOL_GEO, build_star, point_location
+from .geometry import StarPolygon, TOL_GEO, build_star, point_location, star_lines
 from .quotient import edge_pairing
 
 
@@ -82,41 +83,29 @@ def reflect_dir(direction: complex, edge_id: int, star: StarPolygon) -> complex:
     return u * u * direction.conjugate()
 
 
-class _EventTable(NamedTuple):
-    lines: tuple[tuple, ...]
-    vertices: tuple[complex, ...]
-    mirrors: tuple[tuple[complex, complex], ...]
-
-
 @lru_cache(maxsize=None)
-def _event_table(star: StarPolygon, tol: float) -> _EventTable:
-    """Per edge line with foot f and unit direction u, in the coordinate
-    tau = Re((z - f) conj u) along it: (f, conj u, tau_in -/+ tol,
-    tau_out -/+ tol, sides, stops), with |tau| of the inner and outer vertices
-    (the line's two edges mirror each other about f), (inner vertex, outer
-    vertex, edge) at tau < 0 and at tau > 0, and the four (tau, vertex).
-    Per edge, (u^2, shift) of the reflection in its line, u^2 conj z + shift."""
+def _event_table(star: StarPolygon, tol: float) -> tuple[tuple, tuple]:
+    """star_lines with the bounds of an event, and mirrors.  Per line: (f, w,
+    tau_in -/+ tol, tau_out -/+ tol, sides, stops), stops the (tau, vertex)
+    of its four vertices.  Per edge: (u^2, shift) of the reflection in its
+    line, u^2 conj z + shift, u = conj w."""
     lines, mirrors = [], [None] * len(star.edges)
-    for line in star.edge_lines:
-        f, w, u2 = line.foot, line.direction.conjugate(), line.direction * line.direction
-        sides, stops = [], []
-        for eid in line.edge_ids:
-            ends = [(((star.vertices[vid] - f) * w).real, vid) for vid in star.edges[eid]]
-            (t_in, v_in), (t_out, v_out) = sorted(ends, key=lambda stop: abs(stop[0]))
-            sides.append((t_in, (v_in, v_out, eid)))
-            stops += [(t_in, v_in), (t_out, v_out)]
-            mirrors[eid] = (u2, f - u2 * f.conjugate())
-        t_in, t_out = abs(t_in), abs(t_out)
+    for f, w, t_in, t_out, sides in star_lines(star).rows:
+        u = w.conjugate()
+        stops = []
+        for sign, (v_in, v_out, eid) in zip((-1.0, 1.0), sides):
+            stops += [(sign * t_in, v_in), (sign * t_out, v_out)]
+            mirrors[eid] = (u * u, f - u * u * f.conjugate())
         lines.append((f, w, t_in - tol, t_in + tol, t_out - tol, t_out + tol,
-                      tuple(side for _, side in sorted(sides)), tuple(stops)))
-    return _EventTable(tuple(lines), star.vertices, tuple(mirrors))
+                      sides, tuple(stops)))
+    return tuple(lines), tuple(mirrors)
 
 
-def _event(z: complex, d: complex, table: _EventTable,
+def _event(z: complex, d: complex, lines: tuple, vertices: tuple[complex, ...],
            tol: float) -> tuple[str, int, complex, float]:
-    """next_event on the rows of _event_table."""
+    """next_event on the lines of _event_table."""
     best, kind = math.inf, None
-    for f, w, in_lo, in_hi, out_lo, out_hi, sides, stops in table.lines:
+    for f, w, in_lo, in_hi, out_lo, out_hi, sides, stops in lines:
         dw = d * w
         if dw.imag < -1e-14:  # only an outward crossing leaves the star
             zw = (z - f) * w
@@ -139,18 +128,15 @@ def _event(z: complex, d: complex, table: _EventTable,
         raise DegenerateRay(f"no boundary hit from {z} along {d}")
     if kind == "reflect":
         return kind, idx, z + best * d, best
-    v = table.vertices[idx]
+    v = vertices[idx]
     return kind, idx, v, ((v - z) / d).real
 
 
 def next_event(state: BilliardState, star: StarPolygon,
                tol: float = TOL_GEO) -> tuple[str, int, complex, float]:
-    """Earliest boundary hit of the ray: ('reflect'|'reverse', id, point, dt).
-
-    Hits within tol of a vertex classify as vertex hits ('reverse' carrying
-    the vertex id); otherwise edge hits ('reflect' carrying the edge id).
-    """
-    return _event(state.pos, state.dir, _event_table(star, tol), tol)
+    """Earliest boundary hit of the ray: ('reflect', edge id, point, dt), or
+    ('reverse', vertex id, vertex, dt) for a hit within tol of a vertex."""
+    return _event(state.pos, state.dir, _event_table(star, tol)[0], star.vertices, tol)
 
 
 def simulate(z0: complex, direction: complex, max_events: int,
@@ -169,16 +155,16 @@ def simulate(z0: complex, direction: complex, max_events: int,
     if loc.kind == "exterior":
         raise UsageError(f"start {z0} lies outside the star")
     pair_m = edge_pairing(star).reflection_of_edge
-    table = _event_table(star, tol)
+    lines, mirrors = _event_table(star, tol)
 
     z, d, t0 = z0, direction, 0.0
     segments, events = [], []
     for _ in range(max_events):
-        kind, idx, point, dt = _event(z, d, table, tol)
+        kind, idx, point, dt = _event(z, d, lines, star.vertices, tol)
         t1 = t0 + dt
         segments.append(Segment(z, point, d, t0, t1))
         if kind == "reflect":
-            d = table.mirrors[idx][0] * d.conjugate()
+            d = mirrors[idx][0] * d.conjugate()
             events.append(Event("reflect", point, t1, edge=idx,
                                 pairing_m=pair_m[idx]))
         else:
@@ -194,10 +180,9 @@ def lift_trajectory(traj: Trajectory, star: StarPolygon | None = None,
 
     The sector index starts at 0 and is carried unchanged through reversals;
     a reflection in edge E moves the path onto the identified partner edge
-    T_m(E), which lies in the sector reached by the identification.
+    T_m(E), which lies in the sector reached by the identification.  The
+    sectors are fixed by the frame, so star is not read.
     """
-    if star is None:
-        star = build_star()
     for seg in traj.segments:
         u = seg.end - seg.start
         t = (((-seg.start) / u).real if u != 0 else 0.0)
@@ -207,14 +192,10 @@ def lift_trajectory(traj: Trajectory, star: StarPolygon | None = None,
     sector, new_events = 0, []
     for ev in traj.events:
         if ev.kind == "reflect":
-            sector = _sector_of_point(ev.position, star)
+            angle = math.atan2(ev.position.imag, ev.position.real) % (2 * math.pi)
+            sector = int(angle // (2 * math.pi / 5)) % 5
         new_events.append(ev._replace(sector=sector))
     return Trajectory(traj.segments, tuple(new_events))
-
-
-def _sector_of_point(z: complex, star: StarPolygon) -> int:
-    ang = math.atan2(z.imag, z.real) % (2 * math.pi)
-    return int(ang // (2 * math.pi / 5)) % 5
 
 
 def develop(traj: Trajectory, star: StarPolygon | None = None):
@@ -228,7 +209,7 @@ def develop(traj: Trajectory, star: StarPolygon | None = None):
         return [], 0.0
     if star is None:
         star = build_star()
-    mirrors = _event_table(star, TOL_GEO).mirrors
+    mirrors = _event_table(star, TOL_GEO)[1]
     # the unfolding so far: z -> mul * (conj z if conj else z) + shift
     mul, conj, shift = 1.0 + 0.0j, False, 0.0j
     pieces: list[list[complex]] = [[traj.segments[0].start]]
@@ -242,9 +223,6 @@ def develop(traj: Trajectory, star: StarPolygon | None = None):
             mul, shift, conj = mul * m, mul * c + shift, not conj
         else:
             pieces.append([end])
-    if len(traj.segments) > len(traj.events):
-        end = traj.segments[-1].end
-        pieces[-1].append(mul * (end.conjugate() if conj else end) + shift)
 
     residual = 0.0
     for chain in pieces:

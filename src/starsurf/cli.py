@@ -21,7 +21,7 @@ from . import svgout
 from .config import UsageError, load_settings
 from .conformal import SHEET_COUNT, F_T, SheetedPoint, compute_k, eta
 from .geometry import build_star
-from .verify import budget_report, run_verify
+from .verify import CHECKS, budget_report, run_verify
 
 
 def _cpx(value: str) -> complex:
@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("verify", help="run every acceptance check")
-    p.add_argument("--module", help="filter by module name")
+    p.add_argument("--module", choices=sorted({fn.module for fn in CHECKS}),
+                   help="run only this module's checks")
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify)
 

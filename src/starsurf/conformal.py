@@ -158,6 +158,8 @@ def _F_T_quad(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
     if xi.imag < -1e-12:
         raise ValueError("F_T is defined on the closed upper half-plane")
     k = compute_k()
+    if 0.0 < xi.real < 1e-100 and xi.imag <= 0.0:  # leading term, relative error O(x)
+        return complex(k * 5.0 * xi.real ** 0.2 * A ** -0.3 * B ** -0.9)
     if xi.imag <= 0.0 and xi.real >= 0.0:  # on the axis, exact endpoint exponents
         return k * sum(panel(_inv_eta, *p, rule) for p in _real_axis_chain(xi.real))
     return k * contour(_inv_eta, _path_to(xi), mu_start=MU[0.0], rule=rule)

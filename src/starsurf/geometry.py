@@ -10,18 +10,17 @@ Angles of the triangle are exact rational multiples of pi and are stored as
 Fractions alongside their float values, so rational-angle identities can be
 tested exactly.
 
-Point location against the star has two forms.  point_location classifies
-one point and returns a Location (kind, edge or vertex index, edge
-parameter); it serves single-point callers and is the oracle the batch form
-is tested against.  locate_kinds classifies an array of points and returns
-kind codes, indices into KINDS: 0 exterior, 1 interior, 2 edge, 3 vertex,
-4 center.  point_location tests the center within tol, then a vertex within
-tol, then an edge (distance <= tol and 0 < t < 1), then the even-odd
-crossing test.  The star is the set of points outside at most one of its
-five edge lines.  A point more than 2 tol + 1e-12 from every line and from
-the center passes none of the first three tests, and its crossing test is
-exact, so locate_kinds counts the lines it is outside.  Points within that
-margin go through _exact_kinds, point_location's operations bit for bit.
+Point location reads the star as its five edge lines (star_lines): K is
+the set of points outside at most one of them.  In the coordinates
+p = (z - f) w of a line with foot f and conjugate direction w, a point is,
+by the first test it passes: the center, within tol of it; a vertex, within
+tol of one; on an edge, where |Im p| <= tol and tau_in < |Re p| < tau_out
+for some line (the lowest such edge id); else interior if Im p < 0 for at
+most one line and exterior if not.  point_location applies the rule to one
+point and returns a Location (kind, edge or vertex index, edge parameter).
+locate_kinds applies it to an array and returns kind codes, indices into
+KINDS: 0 exterior, 1 interior, 2 edge, 3 vertex, 4 center.  Billiard
+events read the same table.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,25 +206,16 @@ def build_star() -> StarPolygon:
         verts.append(OUTER_RADIUS * cmath.exp(1j * (2 * k + 1) * math.pi / 5))
     edges = tuple((j, (j + 1) % 10) for j in range(10))
 
-    # Each line holds edges {2k+2, 2k+9} (mod 10): the half-chords on either
-    # side of the pentagon edge joining inner vertices k, k+1.
+    # line k carries edges 2k + 9 and 2k + 2 (mod 10), the half-chords on
+    # either side of the pentagon edge p q; its foot is the one from O
     lines = []
     for k in range(5):
-        e_lo = (2 * k + 9) % 10
-        e_hi = (2 * k + 2) % 10
-        p = verts[2 * k]
-        q = verts[(2 * k + 2) % 10]
-        direction = (q - p) / abs(q - p)
-        # perpendicular foot from the origin
-        foot = p + ((0 - p) / direction).real * direction
-        lines.append(EdgeLine(foot=foot, direction=direction, edge_ids=(e_lo, e_hi)))
-
-    return StarPolygon(
-        center=0.0 + 0.0j,
-        vertices=tuple(verts),
-        edges=edges,
-        edge_lines=tuple(lines),
-    )
+        p, q = verts[2 * k], verts[(2 * k + 2) % 10]
+        u = (q - p) / abs(q - p)
+        lines.append(EdgeLine(foot=p + ((0 - p) / u).real * u, direction=u,
+                              edge_ids=((2 * k + 9) % 10, (2 * k + 2) % 10)))
+    return StarPolygon(center=0.0 + 0.0j, vertices=tuple(verts), edges=edges,
+                       edge_lines=tuple(lines))
 
 
 @dataclass(frozen=True)
@@ -236,36 +227,57 @@ class Location:
     parameter: float | None = None  # position along the edge in (0, 1)
 
 
-def _point_in_polygon(z: complex, verts: tuple[complex, ...]) -> bool:
-    """Even-odd crossing test; callers must have excluded boundary points."""
-    inside = False
-    n = len(verts)
-    x, y = z.real, z.imag
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        if (p.imag > y) != (q.imag > y):
-            x_cross = p.real + (y - p.imag) * (q.real - p.real) / (q.imag - p.imag)
-            if x < x_cross:
-                inside = not inside
-    return inside
+class StarLines(NamedTuple):
+    """The five edge lines, each in its coordinates p = (z - f) w, f the
+    line's foot and w its conjugate unit direction, so that Im p > 0 on the
+    center's side and tau = Re p runs along it.  rows[k] is (f, w, tau_in,
+    tau_out, sides) for edge_lines[k]: |tau| of its inner and outer vertices
+    and the (inner vertex, outer vertex, edge id) at tau < 0 and tau > 0.
+    columns holds f.real, f.imag, w.real, w.imag, tau_in, tau_out by line."""
+
+    rows: tuple[tuple[complex, complex, float, float, tuple], ...]
+    columns: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def star_lines(star: StarPolygon) -> StarLines:
+    rows = []
+    for line in star.edge_lines:
+        f, w = line.foot, line.direction.conjugate()
+        sides = [None, None]
+        for eid in line.edge_ids:
+            ends = [(((star.vertices[vid] - f) * w).real, vid) for vid in star.edges[eid]]
+            (tau_in, v_in), (tau_out, v_out) = sorted(ends, key=lambda end: abs(end[0]))
+            sides[tau_in > 0.0] = (v_in, v_out, eid)
+        # |tau| as the line's second edge has it; the first's differ by an ulp
+        rows.append((f, w, abs(tau_in), abs(tau_out), tuple(sides)))
+    columns = np.array([(f.real, f.imag, w.real, w.imag, t_in, t_out)
+                        for f, w, t_in, t_out, _sides in rows]).T
+    return StarLines(tuple(rows), columns)
 
 
 def point_location(z: complex, star: StarPolygon, tol: float = TOL_GEO) -> Location:
+    """The center, a vertex, an edge (the lowest edge id within tol of z) or
+    else interior or exterior by the count of lines z lies outside."""
     if abs(z - star.center) <= tol:
         return Location("center")
     for vid, v in enumerate(star.vertices):
         if abs(z - v) <= tol:
             return Location("vertex", index=vid)
-    for eid, (i, j) in enumerate(star.edges):
-        p, q = star.vertices[i], star.vertices[j]
-        u = (q - p)
-        t = ((z - p) / u).real
-        dist = abs((z - p) - t * u)
-        if dist <= tol and 0.0 < t < 1.0:
-            return Location("edge", index=eid, parameter=t)
-    if _point_in_polygon(z, star.vertices):
-        return Location("interior")
-    return Location("exterior")
+    outside, edge = 0, None
+    for f, w, tau_in, tau_out, sides in star_lines(star).rows:
+        p = (z - f) * w
+        outside += p.imag < 0.0
+        tau = abs(p.real)
+        if -tol <= p.imag <= tol and tau_in < tau < tau_out:
+            eid = sides[p.real > 0.0][2]
+            if edge is None or eid < edge.index:
+                # edge 2k runs from inner vertex 2k out, edge 2k + 1 back in
+                t = (tau - tau_in) / (tau_out - tau_in)
+                edge = Location("edge", index=eid, parameter=1.0 - t if eid % 2 else t)
+    if edge is not None:
+        return edge
+    return Location("interior" if outside <= 1 else "exterior")
 
 
 #: kind codes of locate_kinds: KINDS[code] is point_location's kind string
@@ -273,66 +285,26 @@ KINDS = ("exterior", "interior", "edge", "vertex", "center")
 EXTERIOR, INTERIOR, EDGE, VERTEX, CENTER = range(len(KINDS))
 
 
-def _edge_division(u: complex) -> tuple[float, float, float]:
-    """(alpha, beta, denom) with ((dx + i dy) / u).real equal, bit for bit, to
-    (dx * alpha + dy * beta) / denom: CPython's complex-division steps, with
-    the exact factor 1.0 on the term it leaves unscaled."""
-    if abs(u.real) >= abs(u.imag):
-        ratio = u.imag / u.real
-        return 1.0, ratio, u.real + u.imag * ratio
-    ratio = u.real / u.imag
-    return ratio, 1.0, u.real * ratio + u.imag
-
-
 def locate_kinds(zs, star: StarPolygon, tol: float = TOL_GEO) -> tuple[np.ndarray, int]:
-    """Kind codes (indices into KINDS) of point_location for an array of
-    points (of any shape, a single point included), and how many of them the
-    exact kernel decided."""
+    """point_location's kind codes (indices into KINDS) for an array of
+    points of any shape, and how many are near the boundary: within tol of
+    an edge line or in the square of half-width tol about the center, the
+    only points the center, vertex and edge tests can pass.  Products are
+    spelled out as CPython forms them, so both forms round alike."""
     shape = np.shape(zs)
-    z = np.atleast_1d(np.asarray(zs, dtype=complex))
-    # signed distances to the edge lines, positive on the center's side
-    s = ((z[..., None] - [line.foot for line in star.edge_lines])
-         * np.conj([line.direction for line in star.edge_lines])).imag
-    kinds = (np.count_nonzero(s < 0, axis=-1) <= 1).astype(np.int8)  # INTERIOR or EXTERIOR
-    margin = 2 * tol + 1e-12
-    near = np.any(np.abs(s) < margin, axis=-1) | (np.abs(z - star.center) < margin)
-    kinds[near] = _exact_kinds(z[near], star, tol)
+    z = np.asarray(zs, dtype=complex).ravel()
+    fx, fy, wx, wy, tau_in, tau_out = star_lines(star).columns[..., None]
+    dx, dy = z.real - fx, z.imag - fy  # one row per line
+    s = dx * wy + dy * wx              # Im p
+    kinds = ((s < 0.0).sum(axis=0) <= 1).astype(np.int8)  # INTERIOR or EXTERIOR
+    c = star.center
+    near = ((np.abs(s) <= tol).any(axis=0)
+            | ((np.abs(z.real - c.real) <= tol) & (np.abs(z.imag - c.imag) <= tol)))
+    if near.any():
+        s, zn, points = s[:, near], z[near], np.array((c,) + star.vertices)[:, None]
+        tau = np.abs(dx[:, near] * wx - dy[:, near] * wy)
+        edge = ((np.abs(s) <= tol) & (tau_in < tau) & (tau < tau_out)).any(axis=0)
+        at = np.hypot(zn.real - points.real, zn.imag - points.imag) <= tol
+        kinds[near] = np.where(at[0], CENTER, np.where(
+            at[1:].any(axis=0), VERTEX, np.where(edge, EDGE, kinds[near])))
     return kinds.reshape(shape), int(np.count_nonzero(near))
-
-
-def _exact_kinds(z: np.ndarray, star: StarPolygon, tol: float) -> np.ndarray:
-    """point_location's kinds for an array of points, bit for bit: every
-    point is tested against every star feature at once, along a last axis of
-    features, with point_location's floating-point operations.  The kinds are
-    assigned in the reverse of point_location's test order, each overwriting
-    the last, so a point passing several tests keeps the kind of the first."""
-    x, y = z.real[..., None], z.imag[..., None]
-    # edge k joins vertex k to vertex k + 1 (see StarPolygon), so the edges
-    # are also the consecutive vertex pairs of _point_in_polygon
-    verts, nexts = star.vertices, star.vertices[1:] + star.vertices[:1]
-    p, q = np.array(verts), np.array(nexts)
-    u = q - p
-    alpha, beta, denom = np.array([_edge_division(b - a) for a, b in zip(verts, nexts)]).T
-
-    x_cross = p.real + (y - p.imag) * u.real / u.imag
-    crossings = ((p.imag > y) != (q.imag > y)) & (x < x_cross)
-    kinds = (np.count_nonzero(crossings, axis=-1) % 2).astype(np.int8)  # INTERIOR
-
-    dx, dy = x - p.real, y - p.imag
-    t = (dx * alpha + dy * beta) / denom
-    dist = np.hypot(dx - t * u.real, dy - t * u.imag)
-    kinds[np.any((dist <= tol) & (0.0 < t) & (t < 1.0), axis=-1)] = EDGE
-    kinds[np.any(np.hypot(dx, dy) <= tol, axis=-1)] = VERTEX
-    kinds[np.hypot(z.real - star.center.real, z.imag - star.center.imag) <= tol] = CENTER
-    return kinds
-
-
-def point_in_kite(z: complex, kite: tuple[complex, ...], tol: float = TOL_GEO) -> bool:
-    """Closed membership in a convex-or-kite quadrilateral via crossing test."""
-    for i in range(len(kite)):
-        p, q = kite[i], kite[(i + 1) % len(kite)]
-        t = ((z - p) / (q - p)).real
-        t = min(max(t, 0.0), 1.0)
-        if abs(z - (p + t * (q - p))) <= tol:
-            return True
-    return _point_in_polygon(z, kite)

@@ -226,13 +226,13 @@ def copies_containing(z: complex, patch: TilingPatch,
 def _in_copies(zs, centers: np.ndarray, star: StarPolygon,
                tol: float = TOL_GEO) -> tuple[np.ndarray, int, int]:
     """inside[i, j]: whether the closed star copy at centers[j] contains zs[i]; the
-    number of offsets classified (those within REJECT_RADIUS), and of them exactly."""
+    number of offsets classified (those within REJECT_RADIUS), and of them near_boundary."""
     offsets = np.asarray(zs)[:, None] - centers
     near = np.abs(offsets) <= REJECT_RADIUS
     inside = np.zeros(offsets.shape, dtype=bool)
-    kinds, exact = locate_kinds(offsets[near], star, tol)
+    kinds, n_near = locate_kinds(offsets[near], star, tol)
     inside[near] = kinds != EXTERIOR
-    return inside, kinds.size, exact
+    return inside, kinds.size, n_near
 
 
 def _group_elements(word_length: int,
@@ -352,12 +352,11 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     For each sample z (off the vertex set) every rotation-translation
     element g with g(z) in the closed punctured star is a carrier.  A
     sample's candidate images g(z), all rotations times all translations of
-    the word ball, are classified in one locate_kinds call, a five-line
-    count that is exact off a 2e-9 margin of the boundary.  Reports
+    the word ball, are classified in one locate_kinds call.  Reports
     existence (every sample has a carrier), the number of distinct interior
-    images and the candidates classified, exact_checked of them within the
-    margin; boundary samples are checked to have exactly the two
-    edge-pairing representatives x and T_m(x).
+    images and the candidates classified, near_boundary of them as
+    locate_kinds counts them; boundary samples are checked to have exactly
+    the two edge-pairing representatives x and T_m(x).
 
     The translation group is non-discrete, so several carriers with
     distinct interior images exist for generic samples; interior_unique
@@ -374,7 +373,7 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
 
     existence_fail = []
     multiplicities = []
-    candidates = exact_checked = 0
+    candidates = near_boundary = 0
     for _ in range(samples):
         z = complex(rng.uniform(-disk_radius, disk_radius),
                     rng.uniform(-disk_radius, disk_radius))
@@ -384,9 +383,9 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
         # distinct translations (>= 0.09 apart), two rotations' images meet
         # only for non-generic z, so each interior carrier is its own image
         w = np.array([EPSILON ** j * z for j in range(5)])[:, None] + translations
-        kinds, exact = locate_kinds(w[np.abs(w) <= REJECT_RADIUS], star)
+        kinds, n_near = locate_kinds(w[np.abs(w) <= REJECT_RADIUS], star)
         candidates += kinds.size
-        exact_checked += exact
+        near_boundary += n_near
         if not np.count_nonzero((kinds != EXTERIOR) & (kinds != CENTER)):
             existence_fail.append(z)
             continue
@@ -413,7 +412,7 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
         "max_multiplicity": max(multiplicities) if multiplicities else 0,
         "boundary_pairs_checked": boundary_ok,
         "candidates": candidates,
-        "exact_checked": exact_checked,
+        "near_boundary": near_boundary,
     }
 
 
@@ -426,7 +425,8 @@ def coverage_check(samples: int = 500, seed: int = 1, depth: int = 3,
                    disk_radius: float = 0.9) -> dict:
     """Sampled points of the disk (away from V+) land in >= 1 star copy.
     The samples are drawn first, then classified against every patch copy
-    COVERAGE_CHUNK at a time."""
+    COVERAGE_CHUNK at a time; candidates and near_boundary count as in
+    fundamental_domain_check."""
     rng = random.Random(seed)
     patch = generate_patch(depth)
     vpoints = np.array(patch.vpoints)
@@ -438,14 +438,14 @@ def coverage_check(samples: int = 500, seed: int = 1, depth: int = 3,
             zs.append(z)
     centers, star = np.array(patch.centers), build_star()
     misses = []
-    candidates = exact_checked = 0
+    candidates = near_boundary = 0
     for start in range(0, len(zs), COVERAGE_CHUNK):
         chunk = np.array(zs[start:start + COVERAGE_CHUNK])
-        inside, classified, exact = _in_copies(chunk, centers, star)
+        inside, classified, n_near = _in_copies(chunk, centers, star)
         misses += chunk[~inside.any(axis=1)].tolist()
         candidates += classified
-        exact_checked += exact
+        near_boundary += n_near
     if misses:
         raise CheckFailure(f"{len(misses)} uncovered points, e.g. {misses[:3]}")
     return {"tested": len(zs), "misses": 0, "candidates": candidates,
-            "exact_checked": exact_checked}
+            "near_boundary": near_boundary}

@@ -8,9 +8,18 @@ fundamental-domain uniqueness, which the non-discrete translation group
 rules out.  They are asserted as stated and left red on purpose.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from starsurf.verify import CHECKS, RUNTIME_BUDGETS, budget_report, run_verify
+from starsurf.verify import (CHECKS, EXPECTED_FAILURES, RUNTIME_BUDGETS, budget_report,
+                             run_verify)
+
+#: the ledger the benchmark gates on; read here, never written
+LEDGER_REF = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "ledger_ref.json"
+#: checks whose measured string is a count
+COUNTED = ("05", "06", "09a", "09c", "10c", "10d", "10e", "10f")
 
 _LEDGER = None
 
@@ -44,3 +53,15 @@ def test_runtime_budgets():
 def test_every_criterion_is_covered():
     ids = {e.check_id[:2] for e in _ledger().entries}
     assert ids == set(RUNTIME_BUDGETS)
+
+
+def test_ledger_matches_the_benchmark_reference():
+    reference = json.loads(LEDGER_REF.read_text())["entries"]
+    got = {e.check_id: e for e in _ledger().entries}
+    assert set(got) == {r["check_id"] for r in reference}
+    for ref in reference:
+        entry = got[ref["check_id"]]
+        assert entry.passed == (entry.check_id not in EXPECTED_FAILURES), entry.check_id
+        assert entry.passed == ref["passed"], entry.check_id
+        if entry.check_id.split("-")[0] in COUNTED:
+            assert entry.measured == ref["measured"], entry.check_id

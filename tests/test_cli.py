@@ -261,9 +261,10 @@ def test_map_calls_build_no_quadrature_tables():
     ["map", "grid", "--n", "0", "--svg", "grid.svg"],
     ["map", "grid", "--n", "-2", "--svg", "grid.svg"],
     ["billiard", "--z0", "0.05,0.13", "--theta", "0.53", "--events", "-3"],
+    ["verify", "--module", "bogus"],
 ], ids=["flow-sheet", "flow-steps-0", "flow-steps-negative", "map-eval-sheet",
         "flow-samples-0", "flow-samples-negative", "map-grid-n-0", "map-grid-n-negative",
-        "billiard-events-negative"])
+        "billiard-events-negative", "verify-module-unknown"])
 def test_bad_sheet_or_steps_is_a_usage_error(capsys, argv):
     # flow --steps is gone: it set the resolution of the RK4 flow
     with pytest.raises(SystemExit) as exc:

@@ -324,6 +324,13 @@ def test_closed_form_matches_the_quadrature_oracle(xi):
     assert abs(F_T(xi) - _oracle(xi)) <= 1e-13
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310])
+def test_quadrature_oracle_at_subnormal_x(x):
+    # below 1e-100 the oracle takes the leading term 5 k x^(1/5) a^(-3/10) b^(-9/10):
+    # a panel from 0 to a subnormal x would have no width to integrate over
+    assert abs(_oracle(x) - F_T(x)) <= 1e-14 * abs(F_T(x))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(CLOSED_UPPER | st.sampled_from([0.0, A, B]), min_size=1, max_size=12))
 def test_F_T_on_an_array_equals_F_T_pointwise(zs):

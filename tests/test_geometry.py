@@ -4,14 +4,35 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starsurf.geometry import (EPSILON, INNER_RADIUS, KINDS, OUTER_RADIUS,
                                TOL_GEO, PoleError, ProjectivePoint, build_star,
                                build_triangle, icosahedron_vertices,
-                               locate_kinds, point_location, point_in_kite,
-                               reflect_across_ray, stereographic_project)
+                               locate_kinds, point_location, reflect_across_ray,
+                               stereographic_project)
+
+
+def _crossings_inside(z: complex, verts: tuple[complex, ...]) -> bool:
+    """Even-odd crossing test of a polygon: the oracle of point location off
+    the boundary."""
+    inside = False
+    for p, q in zip(verts, verts[1:] + verts[:1]):
+        if (p.imag > z.imag) != (q.imag > z.imag):
+            if z.real < p.real + (z.imag - p.imag) * (q.real - p.real) / (q.imag - p.imag):
+                inside = not inside
+    return inside
+
+
+def _in_kite(z: complex, kite: tuple[complex, ...], tol: float = TOL_GEO) -> bool:
+    """Closed membership in a quadrilateral: within tol of a side, or inside
+    by the crossing test."""
+    for p, q in zip(kite, kite[1:] + kite[:1]):
+        t = min(max(((z - p) / (q - p)).real, 0.0), 1.0)
+        if abs(z - (p + t * (q - p))) <= tol:
+            return True
+    return _crossings_inside(z, kite)
 
 
 def test_icosahedron_vertex_list():
@@ -156,7 +177,7 @@ def test_star_equals_union_of_kites(kind):
         loc = point_location(z, star)
         if loc.kind in ("edge", "vertex"):
             continue
-        in_union = any(point_in_kite(z, kite) for kite in kites)
+        in_union = any(_in_kite(z, kite) for kite in kites)
         if loc.kind in ("interior", "center"):
             assert in_union, f"{z} inside the star but outside the kites"
         else:
@@ -188,6 +209,11 @@ def test_point_location_cases():
     loc = point_location(mid, star)
     assert loc.kind == "edge" and loc.index == 3
     assert abs(loc.parameter - 0.5) < 1e-9
+    # edge j's parameter runs from vertex j to vertex j + 1
+    for eid in range(10):
+        p, q = star.edge_endpoints(eid)
+        for t in (0.1, 0.9):
+            assert abs(point_location(p + t * (q - p), star).parameter - t) < 1e-12
     assert point_location(0.1 + 0.1j, star).kind == "interior"
     # vertex capture within the tolerance
     assert point_location(complex(INNER_RADIUS, 5e-10), star).kind == "vertex"
@@ -198,8 +224,7 @@ def test_point_location_cases():
 STAR = build_star()
 UNIT = st.floats(0.0, 2 * math.pi).map(lambda a: cmath.exp(1j * a))
 #: offsets from a feature: on it, inside the tolerance, or outside it, also
-#: by 5% either side of it (the batch form repeats point_location's
-#: floating-point operations, so even these kinds agree exactly)
+#: by 5% either side of it
 NEAR = st.sampled_from([0.0, 0.5, 0.95, 1.05, 2.0]).map(lambda s: s * TOL_GEO)
 
 
@@ -235,19 +260,16 @@ def test_locate_kinds_agrees_with_point_location(zs):
 
 @pytest.mark.parametrize("z", [0.1, 0j, 0.5 + 0.2j, STAR.vertices[3], 5.0])
 def test_locate_kinds_takes_a_single_point(z):
-    kinds, _exact = locate_kinds(z, STAR)
+    kinds, _near = locate_kinds(z, STAR)
     assert kinds.shape == () and KINDS[kinds] == point_location(z, STAR).kind
     grid = locate_kinds([[z, 0.1], [0.2j, z]], STAR)[0]
     assert grid.shape == (2, 2) and grid[0, 0] == grid[1, 1] == kinds
 
 
-#: the five-line count's margin: nearer any edge line or the center, a point
-#: goes through the exact kernel
-MARGIN = 2 * TOL_GEO + 1e-12
-#: points offset from an edge line by multiples of the margin, either side
-#: of the line and of the margin, along the whole line out to |z| = 3
+#: points offset from an edge line by multiples of tol, either side of the
+#: line and of tol, along the whole line out to |z| = 3
 ON_LINES = st.builds(
-    lambda line, t, m: (line.foot + t * line.direction + m * MARGIN * line.foot / abs(line.foot), m),
+    lambda line, t, m: (line.foot + t * line.direction + m * TOL_GEO * line.foot / abs(line.foot), m),
     st.sampled_from(STAR.edge_lines), st.floats(-3.0, 3.0),
     st.sampled_from([0.5, 1.0, 2.0, 10.0, -0.5, -1.0, -2.0, -10.0]))
 FAR = st.builds(lambda r, u: (r * u, None), st.floats(0.0, 3.0), UNIT)
@@ -257,9 +279,55 @@ FAR = st.builds(lambda r, u: (r * u, None), st.floats(0.0, 3.0), UNIT)
 @given(st.lists(st.one_of(ON_LINES, FAR), min_size=1, max_size=40))
 def test_five_line_count_agrees_with_point_location(points):
     zs = [z for z, _m in points]
-    kinds, exact = locate_kinds(zs, STAR)
+    kinds, near_boundary = locate_kinds(zs, STAR)
     assert [KINDS[c] for c in kinds] == [point_location(z, STAR).kind for z in zs]
-    assert exact >= sum(m is not None and abs(m) < 1 for _z, m in points)
+    assert near_boundary >= sum(m is not None and abs(m) < 1 for _z, m in points)
+
+
+def _line_distance(z: complex) -> float:
+    return min(line.distance(z) for line in STAR.edge_lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_off_the_lines_the_crossing_test_decides(z):
+    assume(_line_distance(z) > 1e-6 and abs(z) > 1e-6)
+    kind = "interior" if _crossings_inside(z, STAR.vertices) else "exterior"
+    assert point_location(z, STAR).kind == kind
+    assert KINDS[locate_kinds(z, STAR)[0]] == kind
+
+
+def _designed_points():
+    """(z, kind, index) at 0.5 tol and 2 tol from the star's features, with
+    the kind each is built to have."""
+    tol, cases = TOL_GEO, []
+    for r, kind in ((0.5, "center"), (2.0, "interior")):
+        cases += [(r * tol * u, kind, None) for u in (1, 1j, -1, -1j)]
+    for vid, v in enumerate(STAR.vertices):
+        out = v / abs(v)
+        cases += [(v + 0.5 * tol * u, "vertex", vid) for u in (out, 1j * out, -out, -1j * out)]
+        if vid % 2:  # an outer tip: past it, or inside it within tol of both edges
+            cases += [(v + 2 * tol * out, "exterior", None), (v - 2 * tol * out, "edge", vid - 1)]
+            for eid in (vid - 1, vid):
+                p, q = STAR.edge_endpoints(eid)
+                past = (v - p if v == q else v - q) / abs(q - p)
+                cases += [(v + 0.5 * tol * past, "vertex", vid),
+                          (v + 2 * tol * past, "exterior", None)]
+        else:  # an inner vertex: into the pentagon, or out into the notch
+            cases += [(v - 2 * tol * out, "interior", None), (v + 2 * tol * out, "exterior", None)]
+    for eid in range(10):
+        for t in (0.1, 0.5, 0.9):
+            cases += [(_edge_point(eid, t, r * TOL_GEO), "edge", eid) for r in (0.5, -0.5)]
+            cases += [(_edge_point(eid, t, 2 * TOL_GEO), "interior", None),
+                      (_edge_point(eid, t, -2 * TOL_GEO), "exterior", None)]
+    return cases
+
+
+@pytest.mark.parametrize("z, kind, index", _designed_points())
+def test_points_near_the_features_get_their_designed_kinds(z, kind, index):
+    loc = point_location(z, STAR)
+    assert (loc.kind, loc.index) == (kind, index)
+    assert KINDS[locate_kinds(z, STAR)[0]] == kind
 
 
 #: points whose kind no rounding of a symmetry can change: edge points

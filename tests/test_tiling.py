@@ -177,9 +177,9 @@ def test_word_of_center_roundtrip():
 
 
 def test_coverage_of_disk():
-    # no candidate lies within the five-line count's margin of the boundary
+    # no candidate lies within tol of an edge line or of the center
     assert coverage_check() == {"tested": 500, "misses": 0, "candidates": 41713,
-                                "exact_checked": 0}
+                                "near_boundary": 0}
 
 
 def test_copies_containing_origin_region():
@@ -210,7 +210,7 @@ def test_fundamental_domain_check_ledger_figures():
     assert report == {"samples": 151, "existence_failures": 0,
                       "interior_unique": 0, "interior_multi": 151,
                       "max_multiplicity": 865, "boundary_pairs_checked": 10,
-                      "candidates": 379590, "exact_checked": 0}
+                      "candidates": 379590, "near_boundary": 0}
 
 
 def test_fundamental_domain_witness_for_neighbor_copy():
