@@ -4,11 +4,14 @@ and the unfolding that certifies broken geodesics are straight per chart.
 Rules: a unit-speed ray from the interior reflects specularly when it meets
 the interior of an edge and reverses (dir -> -dir) when it meets a vertex.
 Events read the star's five edge lines from geometry.star_lines, the
-table point location reads: the event is the earliest outward line
-crossing beyond tol that lies on one of the line's two edges, captured by
-a vertex within tol of it; a ray sliding along a line stops at the first
-vertex ahead.  Hits within tol of the current position are skipped so
-boundary starts run their full first segment.
+table point location reads: the event is the earliest outward crossing of
+a line that lies on one of the line's two edges, captured by a vertex
+within tol of it (at an outer tip, only a ray heading out across, or along,
+both of the tip's lines, so that the reversed ray runs back into it); a ray
+sliding along a line stops at the first vertex ahead.  A line through the
+current position (within ON_LINE) is not crossed again, but any other
+line is, however close: near an outer tip, where the two edges meet at
+pi/5, a ray bounces between them at any scale.
 
 Lifting: each reflection event is tagged with the chord-pairing reflection
 T_m that identifies the hit edge with its partner, plus a running sector
@@ -27,6 +30,11 @@ from typing import NamedTuple
 from .config import UsageError
 from .geometry import StarPolygon, TOL_GEO, build_star, point_location, star_lines
 from .quotient import edge_pairing
+
+
+#: A ray lies on a line when its position is within this of it: far above
+#: the rounding of a position computed on the line, far below TOL_GEO.
+ON_LINE = 1e-12
 
 
 class DegenerateRay(RuntimeError):
@@ -86,18 +94,24 @@ def reflect_dir(direction: complex, edge_id: int, star: StarPolygon) -> complex:
 @lru_cache(maxsize=None)
 def _event_table(star: StarPolygon, tol: float) -> tuple[tuple, tuple]:
     """star_lines with the bounds of an event, and mirrors.  Per line: (f, w,
-    tau_in -/+ tol, tau_out -/+ tol, sides, stops), stops the (tau, vertex)
-    of its four vertices.  Per edge: (u^2, shift) of the reflection in its
-    line, u^2 conj z + shift, u = conj w."""
+    tau_in -/+ tol, tau_out -/+ tol, sides, stops), sides the (inner vertex,
+    outer vertex, edge id, w of the outer vertex's other line) at tau < 0
+    and tau > 0, stops the (tau, vertex) of its four vertices.  Per edge:
+    (u^2, shift) of the reflection in its line, u^2 conj z + shift, u =
+    conj w."""
+    rows = star_lines(star).rows
     lines, mirrors = [], [None] * len(star.edges)
-    for f, w, t_in, t_out, sides in star_lines(star).rows:
+    for f, w, t_in, t_out, sides in rows:
         u = w.conjugate()
-        stops = []
+        stops, tips = [], []
         for sign, (v_in, v_out, eid) in zip((-1.0, 1.0), sides):
             stops += [(sign * t_in, v_in), (sign * t_out, v_out)]
             mirrors[eid] = (u * u, f - u * u * f.conjugate())
+            other = next(row[1] for row in rows if row[1] != w
+                         and any(side[1] == v_out for side in row[4]))
+            tips.append((v_in, v_out, eid, other))
         lines.append((f, w, t_in - tol, t_in + tol, t_out - tol, t_out + tol,
-                      sides, tuple(stops)))
+                      tuple(tips), tuple(stops)))
     return tuple(lines), tuple(mirrors)
 
 
@@ -110,13 +124,18 @@ def _event(z: complex, d: complex, lines: tuple, vertices: tuple[complex, ...],
         if dw.imag < -1e-14:  # only an outward crossing leaves the star
             zw = (z - f) * w
             t = -zw.imag / dw.imag
-            if tol < t < best:
+            if zw.imag > ON_LINE and t < best:
                 tau = zw.real + t * dw.real
-                a, side = abs(tau), sides[tau > 0.0]  # (inner, outer, edge)
+                a, side = abs(tau), sides[tau > 0.0]  # (inner, outer, edge, w)
                 if in_hi < a < out_lo:
                     best, kind, idx = t, "reflect", side[2]
-                elif in_lo <= a <= out_hi:
-                    best, kind, idx = t, "reverse", side[a > in_hi]
+                elif in_lo <= a <= in_hi:
+                    best, kind, idx = t, "reverse", side[0]
+                elif out_lo <= a <= out_hi:
+                    if (d * side[3]).imag < 1e-14:  # into the tip: -d runs back
+                        best, kind, idx = t, "reverse", side[1]
+                    else:
+                        best, kind, idx = t, "reflect", side[2]
         elif dw.imag < 1e-14:
             zw = (z - f) * w
             if -tol < zw.imag < tol:  # sliding along the line
@@ -135,7 +154,8 @@ def _event(z: complex, d: complex, lines: tuple, vertices: tuple[complex, ...],
 def next_event(state: BilliardState, star: StarPolygon,
                tol: float = TOL_GEO) -> tuple[str, int, complex, float]:
     """Earliest boundary hit of the ray: ('reflect', edge id, point, dt), or
-    ('reverse', vertex id, vertex, dt) for a hit within tol of a vertex."""
+    ('reverse', vertex id, vertex, dt) for a hit within tol of a vertex
+    (of an outer tip, only by a ray heading out across its other line too)."""
     return _event(state.pos, state.dir, _event_table(star, tol)[0], star.vertices, tol)
 
 

@@ -3,12 +3,12 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from starsurf.billiards import (BilliardState, CenterCrossing, DegenerateRay,
-                                develop, lift_trajectory, next_event,
-                                reflect_dir, simulate)
+from starsurf.billiards import (ON_LINE, BilliardState, CenterCrossing,
+                                DegenerateRay, develop, lift_trajectory,
+                                next_event, reflect_dir, simulate)
 from starsurf.config import UsageError
 from starsurf.geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, TOL_GEO,
                                build_star, point_location)
@@ -24,16 +24,16 @@ def _cross(w1: complex, w2: complex) -> float:
 
 
 def ten_edge_event(state, star=STAR, tol=TOL_GEO):
-    """next_event by a ray/segment scan of all ten edges: the earliest hit
-    beyond tol, a hit within tol of an edge's endpoint captured there, and a
-    ray collinear with an edge stopping at its endpoints ahead."""
+    """next_event by a ray/segment scan of all ten edges: the earliest hit of
+    an edge whose line does not pass within ON_LINE of the start, a hit within
+    tol of an edge's endpoint captured there (at an outer, odd, vertex only
+    when the ray also heads out across the vertex's other edge), and a ray
+    collinear with an edge stopping at its endpoints beyond tol ahead."""
     z, d = state.pos, state.dir
     best = None
 
     def consider(s, kind, idx, point):
         nonlocal best
-        if s <= tol:
-            return
         if best is None or s < best[0] - 1e-14:
             best = (s, kind, idx, point)
 
@@ -44,15 +44,21 @@ def ten_edge_event(state, star=STAR, tol=TOL_GEO):
         if abs(denom) < 1e-14:
             if abs(_cross(e, p - z)) < tol:
                 for vid, v in ((i, p), (j, q)):
-                    consider(((v - z) / d).real, "reverse", vid, v)
+                    if ((v - z) / d).real > tol:
+                        consider(((v - z) / d).real, "reverse", vid, v)
             continue
         s = _cross(p - z, e) / denom
         u = _cross(p - z, d) / denom
-        if s <= tol or u < -tol / abs(e) or u > 1 + tol / abs(e):
+        if (abs(_cross(e, p - z)) <= ON_LINE * abs(e) or s <= 0
+                or u < -tol / abs(e) or u > 1 + tol / abs(e)):
             continue
         hit = z + s * d
         for vid, v in ((i, p), (j, q)):
-            if abs(hit - v) <= tol:
+            # edge vid - 1 ends at vid and edge vid starts there
+            o, o_end = ((vid - 1) % 10, vid) if eid == vid else (vid, (vid + 1) % 10)
+            e_o = star.vertices[o_end] - star.vertices[o]
+            into_tip = _cross(e_o, d) < 1e-14 * abs(e_o)
+            if abs(hit - v) <= tol and (vid % 2 == 0 or into_tip):
                 consider(((v - z) / d).real, "reverse", vid, v)
                 break
         else:
@@ -195,6 +201,7 @@ def test_simulate_rotation_equivariance():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(0.0, 2 * math.pi))
+@example(x=0.25, y=1e-9, theta=0.0)  # bounces 1.24 tol from the tip at -phi
 def test_simulate_reflection_equivariance(x, y, theta):
     # the star is symmetric under z -> eps^k conj(z), k = 0..4; a mirrored
     # start and direction give the mirror image of the whole trajectory
@@ -338,6 +345,31 @@ def test_next_event_at_and_beside_each_vertex(vid):
             target = v + offset * TOL_GEO * along
             state = BilliardState(z0, (target - z0) / abs(target - z0))
             assert _same_event(state) == expected
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5, 2.0, 10.0, 100.0])
+def test_rays_into_the_outer_tips_stay_in_the_star(r):
+    # rays aimed r tol from an outer tip, along either edge or the bisector,
+    # bounce in its pi/5 corner at that scale: none degenerates, every
+    # segment stays in the star, and the scan finds the same events (r = 1
+    # is left out: there the two capture tests round either way)
+    for vid in range(1, 10, 2):
+        tip = STAR.vertices[vid]
+        for far in (STAR.vertices[vid - 1], STAR.vertices[(vid + 1) % 10], 0j):
+            target = tip + r * TOL_GEO * (far - tip) / abs(far - tip)
+            for k in range(8):
+                z0 = 0.3 * cmath.exp(2j * math.pi * (k + 0.5) / 8)
+                d = (target - z0) / abs(target - z0)
+                traj = simulate(z0, d, 12)
+                for seg in traj.segments:
+                    for f in (0.25, 0.5, 0.75):
+                        z = seg.start + f * (seg.end - seg.start)
+                        assert point_location(z, STAR).kind != "exterior"
+                oracle = ten_edge_simulate(z0, d, 12)
+                assert ([(e.kind, e.edge if e.kind == "reflect" else e.vertex)
+                         for e in traj.events] == [(kind, idx) for kind, idx, _ in oracle])
+                assert max(abs(e.position - p)
+                           for e, (_, _, p) in zip(traj.events, oracle)) <= 1e-10
 
 
 @pytest.mark.parametrize("eid", range(10))
