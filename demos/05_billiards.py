@@ -29,7 +29,7 @@ pieces, residual = develop(traj, star)
 print(f"unfolded straightness residual: {residual:.2e} "
       f"over {len(pieces)} straight piece(s)")
 
-lifted = lift_trajectory(traj, star)
+lifted = lift_trajectory(traj)
 print("edge-pairing tags along the way:",
       [ev.pairing_m for ev in lifted.events])
 print("sector indices along the way:  ",

@@ -1,28 +1,31 @@
-"""Edge identifications on the star and the quotient cell census.
+"""Edge identifications on the star and the cell census of the curve.
 
 Each boundary edge is glued to the collinear edge on the same chord by the
-reflection whose axis runs perpendicular to that chord.  Rotating by 72
-degrees partitions everything into orbits; the bookkeeping ends at
-chi = -6, i.e. genus 4, independently of the branched-cover computation.
+reflection whose axis runs perpendicular to that chord.  On the star's ids
+the rotation and the reflections are index arithmetic mod 10.  Rotating by
+72 degrees partitions the triangulation into orbits, and gluing two copies
+of the star edge to partner edge gives the curve: chi = -6, i.e. genus 4,
+independently of the branched-cover computation.
 """
 
 import math
 
 from starsurf.geometry import build_star
-from starsurf.quotient import (build_reflections, edge_pairing,
-                               quotient_euler_genus, triangulate)
+from starsurf.quotient import (edge_pairing, quotient_euler_genus, reflect_edge,
+                               reflect_vertex, triangulate)
 
 star = build_star()
 
-print("the five reflections and their fixed rays:")
-for refl in build_reflections():
-    print(f"  T_{refl.m}: z -> eps^{2 * refl.m + 1} conj(z), "
-          f"axis at {math.degrees(refl.fixed_ray_angle):.0f} degrees")
+print("the five reflections T_m: z -> eps^(2m+1) conj(z) on vertex ids:")
+for m in range(5):
+    print(f"  T_{m}: v -> {2 + 4 * m} - v (mod 10), axis at "
+          f"{36 * (2 * m + 1)} degrees: {[reflect_vertex(m, v) for v in range(10)]}")
 
 pairing = edge_pairing(star)
 print("\nboundary edge pairs (edge ids) and their identifying reflection:")
 for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
-    print(f"  edges {e0} <-> {e1}   via T_{m}")
+    print(f"  edges {e0} <-> {e1}   via T_{m}: e -> {1 + 4 * m} - e, "
+          f"T_{m}({e0}) = {reflect_edge(m, e0)}")
 print(f"unordered pair orbits under rotation: sizes "
       f"{pairing.unordered_orbit_sizes} (one five-cycle)")
 print(f"ordered pair orbits: {pairing.ordered_orbit_count} of sizes "
@@ -38,7 +41,8 @@ print(f"cone angles: inner {census.cone_angles['inner'] / math.pi:.4f} pi, "
       f"outer {census.cone_angles['outer'] / math.pi:.4f} pi")
 
 chi, genus, meta = quotient_euler_genus(census)
-print(f"\nchi = 2 - 10 + 2 = {chi}  =>  genus {genus}")
-print("point-set quotient counts, for the record:")
-print(f"  {meta['pointset_with_center']}")
-print(f"  {meta['pointset_without_center']}")
+print(f"\ntwo copies of the star, glued across by the T_m: "
+      f"V = {meta['V']}, E = {meta['E']}, F = {meta['F']}")
+print(f"vertex classes of {meta['vertex_class_sizes']} corners, cone angles "
+      f"{[round(a / math.pi, 4) for a in meta['cone_angle_sums']]} pi")
+print(f"chi = {meta['V']} - {meta['E']} + {meta['F']} = {chi}  =>  genus {genus}")

@@ -86,9 +86,9 @@ class Trajectory:
 
 
 def reflect_dir(direction: complex, edge_id: int, star: StarPolygon) -> complex:
-    """Mirror the direction across the edge's line: d -> u^2 conj(d)."""
-    u = star.edge_direction(edge_id)
-    return u * u * direction.conjugate()
+    """Mirror the direction across the edge's line: d -> u^2 conj(d), with
+    the u^2 that simulate and develop reflect with."""
+    return _event_table(star, TOL_GEO)[1][edge_id][0] * direction.conjugate()
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +194,13 @@ def simulate(z0: complex, direction: complex, max_events: int,
     return Trajectory(tuple(segments), tuple(events))
 
 
-def lift_trajectory(traj: Trajectory, star: StarPolygon | None = None,
-                    tol: float = TOL_GEO) -> Trajectory:
+def lift_trajectory(traj: Trajectory, tol: float = TOL_GEO) -> Trajectory:
     """Annotate events with sector bookkeeping; reject center crossings.
 
     The sector index starts at 0 and is carried unchanged through reversals;
     a reflection in edge E moves the path onto the identified partner edge
     T_m(E), which lies in the sector reached by the identification.  The
-    sectors are fixed by the frame, so star is not read.
+    sectors are fixed by the frame.
     """
     for seg in traj.segments:
         u = seg.end - seg.start

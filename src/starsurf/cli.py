@@ -103,12 +103,7 @@ def cmd_genus(args) -> int:
         "chi": chi,
         "genus_triangulation": g_tri,
         "match": g_rh == g_tri,
-        "census_metadata": {
-            "unordered_pair_orbit_sizes": list(meta["unordered_pair_orbit_sizes"]),
-            "ordered_pair_orbit_sizes": list(meta["ordered_pair_orbit_sizes"]),
-            "pointset_with_center": meta["pointset_with_center"],
-            "pointset_without_center": meta["pointset_without_center"],
-        },
+        "census_metadata": meta,
     }
     _emit(payload, args)
     return 0 if payload["match"] else 1
@@ -153,7 +148,7 @@ def cmd_billiard(args) -> int:
         } for ev in traj.events],
     }
     if args.lift:
-        lifted = bl.lift_trajectory(traj, star)
+        lifted = bl.lift_trajectory(traj)
         _pieces, residual = bl.develop(traj, star)
         payload["lift"] = {
             "tags": [{"pairing_m": ev.pairing_m, "sector": ev.sector,
@@ -210,8 +205,7 @@ def cmd_quotient(args) -> int:
         "cone_angles": census.cone_angles,
         "chi": chi,
         "genus": genus,
-        "metadata": {k: (list(v) if isinstance(v, tuple) else v)
-                     for k, v in meta.items()},
+        "metadata": meta,
     }
     _emit(payload, args)
     return 0

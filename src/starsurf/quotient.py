@@ -1,32 +1,35 @@
 """Reflection identifications on the star and the quotient cell census.
 
-The five reflections T_m = R^{2m+1} U fix the rays at angles (2m+1) pi/5
-and map the star onto itself.  Each boundary edge is identified with the
-collinear edge on the same chord (its partner under the reflection whose
-axis is perpendicular to that chord), giving five unordered pairs.  The
-rotation group acts on everything; orbit partitions are computed literally
-by numeric image matching.
+Everything here is index arithmetic on the star's ids: vertex v sits at
+angle v pi/5 (even v inner, odd v outer), edge e joins vertices e and
+e + 1, and the center has its own id CENTER_ID.  On these ids the rotation
+R: z -> eps z is v -> v + 2 and e -> e + 2, and the reflection
+T_m = R^{2m+1} U: z -> eps^{2m+1} conj(z), which fixes the ray at angle
+(2m+1) pi/5, is v -> 2 + 4m - v and e -> 1 + 4m - e (mod 10).  Points are
+read from star.vertices only for the corner angles.
 
-Cell arithmetic for the quotient surface: 2 face orbits, 2 vertex orbits,
-and 10 edge-orbit labels: the 4 geometric edge classes (center-to-inner,
-center-to-outer, and the two boundary classes) each counted once per
-orientation, plus the 2 rotation orbits of ordered boundary pairs.  That
-yields chi = 2 - 10 + 2 = -6 and genus 4, matching Riemann-Hurwitz.
-Point-set quotient counts are reported alongside in the metadata.
+Each boundary edge is identified with the collinear edge on the same chord,
+its image under one T_m, giving five unordered pairs.  The triangulation of
+the punctured star has 10 faces, 20 edges and 10 vertices, and its orbits
+under R give the 2 face, 2 vertex and 8 oriented edge classes.
+
+The genus comes from the curve itself: sheets k and k + 5 develop onto the
+same sector, so the curve is two copies of K, each boundary edge of one
+copy glued to its partner in the other by T_m.  Union-find on the
+(copy, vertex) corners gives its vertices, and its Euler characteristic is
+V - E + F = 4 - 30 + 20 = -6, genus 4.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+from .geometry import StarPolygon, build_star
 
-from .geometry import EPSILON, StarPolygon, build_star
-
-MATCH_TOL = 1e-10
+#: the center's id; R and every T_m fix it
+CENTER_ID = 10
 
 
 class PairingFailure(RuntimeError):
@@ -34,55 +37,22 @@ class PairingFailure(RuntimeError):
 
 
 class CellCountMismatch(RuntimeError):
-    """Computed orbit counts differ from the expected census."""
+    """The census is not that of a closed orientable surface."""
 
 
-@dataclass(frozen=True)
-class Reflection:
-    """T_m = R^{2m+1} U: z -> eps^{2m+1} conj(z), an involution.
-
-    Fixes the ray at angle (2m+1) pi/5 pointwise (through the m-th outer
-    vertex) and maps the star onto itself.
-    """
-
-    m: int
-
-    @property
-    def phase(self) -> complex:
-        return EPSILON ** (2 * self.m + 1)
-
-    @property
-    def fixed_ray_angle(self) -> float:
-        return (2 * self.m + 1) * math.pi / 5
-
-    @property
-    def matrix(self) -> np.ndarray:
-        c, s = self.phase.real, self.phase.imag
-        # eps^{2m+1} conj(z) as a real-linear map
-        return np.array([[c, s], [s, -c]])
-
-    def __call__(self, z: complex) -> complex:
-        return self.phase * z.conjugate()
+def rotate(i: int) -> int:
+    """R on a vertex or edge id: i -> i + 2; the center stays."""
+    return i if i == CENTER_ID else (i + 2) % 10
 
 
-def build_reflections() -> list[Reflection]:
-    return [Reflection(m) for m in range(5)]
+def reflect_vertex(m: int, v: int) -> int:
+    """T_m on a vertex id: v -> 2 + 4m - v; the center stays."""
+    return v if v == CENTER_ID else (2 + 4 * m - v) % 10
 
 
-def _same_edge(p0: complex, p1: complex, q0: complex, q1: complex,
-               tol: float = MATCH_TOL) -> bool:
-    return ((abs(p0 - q0) < tol and abs(p1 - q1) < tol)
-            or (abs(p0 - q1) < tol and abs(p1 - q0) < tol))
-
-
-def _edge_image(star: StarPolygon, eid: int, transform) -> int | None:
-    p, q = star.edge_endpoints(eid)
-    tp, tq = transform(p), transform(q)
-    for j in range(len(star.edges)):
-        r, s = star.edge_endpoints(j)
-        if _same_edge(tp, tq, r, s):
-            return j
-    return None
+def reflect_edge(m: int, e: int) -> int:
+    """T_m on an edge id: e -> 1 + 4m - e, the edge's ends swapped."""
+    return (1 + 4 * m - e) % 10
 
 
 @dataclass(frozen=True)
@@ -106,233 +76,143 @@ class EdgePairing:
 
 @lru_cache(maxsize=4)
 def edge_pairing(star: StarPolygon | None = None) -> EdgePairing:
-    """Pair each boundary edge with its collinear chord partner.
-
-    The partner is T_m(E) for the unique m whose image is a non-adjacent
-    edge; adjacency-respecting matching reproduces the chord pairing.
-    """
+    """Pair each boundary edge with the T_m image on its own line."""
     if star is None:
         star = build_star()
-    reflections = build_reflections()
-    partner = {}
-    partner_m = {}
+    partner_m = []
     for eid in range(10):
-        found = None
-        for refl in reflections:
-            img = _edge_image(star, eid, refl)
-            if img is None or img == eid:
-                continue
-            i0, i1 = star.edges[eid]
-            j0, j1 = star.edges[img]
-            if {i0, i1} & {j0, j1}:
-                continue  # adjacent edges share a vertex; not a chord pair
-            # chord partner: the image must be collinear with the source
-            if star.line_of_edge(eid) is star.line_of_edge(img):
-                found = (img, refl.m)
-                break
-        if found is None:
+        line = star.line_of_edge(eid).edge_ids
+        ms = [m for m in range(5) if reflect_edge(m, eid) in line]
+        if len(ms) != 1:
             raise PairingFailure(f"edge {eid} has no reflection partner")
-        partner[eid] = found[0]
-        partner_m[eid] = found[1]
-
-    for eid, img in partner.items():
-        if partner[img] != eid:
-            raise PairingFailure("pairing is not involutive")
-
-    pairs = tuple(sorted({(min(e, p), max(e, p)) for e, p in partner.items()}))
-    if len(pairs) != 5:
-        raise PairingFailure(f"expected 5 pairs, got {len(pairs)}")
-    refl_of_pair = tuple(partner_m[p[0]] for p in pairs)
-
-    def rotate_edge(eid: int) -> int:
-        img = _edge_image(star, eid, lambda z: EPSILON * z)
-        if img is None:
-            raise PairingFailure("rotation does not permute the edges")
-        return img
-
-    # orbits of unordered pairs under the rotation
-    def pair_index(e0: int, e1: int) -> int:
-        key = (min(e0, e1), max(e0, e1))
-        return pairs.index(key)
-
-    unordered = _orbits(range(5), lambda i: pair_index(*map(rotate_edge, pairs[i])))
-
-    # ordered pairs (E, E'): orientation-sensitive doubling
-    ordered_items = [(e, p) for (e, p) in pairs] + [(p, e) for (e, p) in pairs]
-    index_of = {it: i for i, it in enumerate(ordered_items)}
-    ordered = _orbits(range(10), lambda i: index_of[
-        (rotate_edge(ordered_items[i][0]), rotate_edge(ordered_items[i][1]))])
-
+        partner_m.append(ms[0])
+    pairs = tuple(sorted({tuple(sorted((e, reflect_edge(m, e))))
+                          for e, m in enumerate(partner_m)}))
+    ordered = pairs + tuple(p[::-1] for p in pairs)
     return EdgePairing(
         pairs=pairs,
-        reflection_of_pair=refl_of_pair,
-        reflection_of_edge=tuple(partner_m[e] for e in range(10)),
-        unordered_orbits=unordered,
-        ordered_orbits=ordered,
+        reflection_of_pair=tuple(partner_m[p[0]] for p in pairs),
+        reflection_of_edge=tuple(partner_m),
+        unordered_orbits=_rotation_orbits(pairs, key=frozenset),
+        ordered_orbits=_rotation_orbits(ordered),
     )
 
 
-def _orbits(items, step) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of items under the cyclic action generated by step."""
-    seen = set()
-    orbits = []
-    for i in items:
-        if i in seen:
-            continue
-        orbit = [i]
-        seen.add(i)
-        j = step(i)
-        while j not in seen:
-            orbit.append(j)
-            seen.add(j)
-            j = step(j)
-        orbits.append(tuple(orbit))
+def _rotation_orbits(items, key=tuple) -> tuple[tuple[int, ...], ...]:
+    """R-orbits on the indices of items, each a tuple of ids; key=frozenset
+    takes the tuples as unordered."""
+    index = {key(it): n for n, it in enumerate(items)}
+    seen, orbits = set(), []
+    for n in range(len(items)):
+        orbit = []
+        while n not in seen:
+            orbit.append(n)
+            seen.add(n)
+            n = index[key(map(rotate, items[n]))]
+        if orbit:
+            orbits.append(tuple(orbit))
     return tuple(orbits)
 
 
 @dataclass(frozen=True)
 class TriangulationCensus:
-    """Rotation-invariant triangulation of the punctured star.
+    """Rotation-invariant triangulation of the punctured star, on ids.
 
     10 open triangles (two per sector), 20 open edges (10 spokes from the
     center, 10 boundary edges), 10 vertices.  Orbit partitions are under the
     rotation subgroup; oriented_edge_orbits doubles each undirected class.
+    corner_angles[v] lists the triangles' corner angles at vertex id v (the
+    center last), in face order.
     """
 
-    faces: tuple[tuple[complex, complex, complex], ...]
-    edges: tuple[tuple[complex, complex], ...]
-    vertices: tuple[complex, ...]
+    faces: tuple[tuple[int, int, int], ...]
+    edges: tuple[tuple[int, int], ...]
+    vertices: tuple[int, ...]                          # inner, then outer ids
     face_orbits: tuple[tuple[int, ...], ...]
     edge_orbits: tuple[tuple[int, ...], ...]          # undirected classes
     oriented_edge_orbits: tuple[tuple[int, ...], ...]  # orientation-doubled
     vertex_orbits: tuple[tuple[int, ...], ...]
     pairing: EdgePairing
-    cone_angles: dict[str, float] = field(default_factory=dict)
+    corner_angles: tuple[tuple[float, ...], ...]
+    cone_angles: dict[str, float]
 
 
 @lru_cache(maxsize=4)
 def triangulate(star: StarPolygon | None = None) -> TriangulationCensus:
     if star is None:
         star = build_star()
-    O = star.center
-    inner = [star.vertices[2 * k] for k in range(5)]       # C_k
-    outer = [star.vertices[2 * k + 1] for k in range(5)]   # D_k
+    inner, outer = tuple(range(0, 10, 2)), tuple(range(1, 10, 2))
+    faces, edges = [], []
+    for v in inner:
+        faces += [(CENTER_ID, v + 1, v), (CENTER_ID, (v - 1) % 10, v)]
+        edges += [(CENTER_ID, v), (CENTER_ID, v + 1), (v, v + 1), (v, (v - 1) % 10)]
 
-    faces = []
-    for j in range(5):
-        faces.append((O, outer[j], inner[j]))              # R^j(O D C)
-        faces.append((O, outer[(j - 1) % 5], inner[j]))    # R^j(O D4 C)
-    edges = []
-    for j in range(5):
-        edges.append((O, inner[j]))                        # spoke O C_j
-        edges.append((O, outer[j]))                        # spoke O D_j
-        edges.append((inner[j], outer[j]))                 # boundary C_j D_j
-        edges.append((inner[j], outer[(j - 1) % 5]))       # boundary C_j D_{j-1}
-    vertices = inner + outer
-
-    def find_face(f):
-        for i, g in enumerate(faces):
-            if all(any(abs(a - b) < MATCH_TOL for b in g) for a in f):
-                return i
-        raise KeyError(f)
-
-    def find_edge(e):
-        for i, g in enumerate(edges):
-            if _same_edge(e[0], e[1], g[0], g[1]):
-                return i
-        raise KeyError(e)
-
-    def find_vertex(v):
-        for i, g in enumerate(vertices):
-            if abs(v - g) < MATCH_TOL:
-                return i
-        raise KeyError(v)
-
-    rot = lambda z: EPSILON * z
-    face_orbits = _orbits(range(10),
-                          lambda i: find_face(tuple(rot(v) for v in faces[i])))
-    edge_orbits = _orbits(range(20),
-                          lambda i: find_edge(tuple(rot(v) for v in edges[i])))
-    vertex_orbits = _orbits(range(10), lambda i: find_vertex(rot(vertices[i])))
-
-    # orientation-sensitive doubling: directed edges (tail, head) and
-    # (head, tail) fall in distinct labeled orbits
-    directed = [(i, 0) for i in range(20)] + [(i, 1) for i in range(20)]
-    didx = {d: n for n, d in enumerate(directed)}
-    oriented_edge_orbits = _orbits(
-        range(40),
-        lambda n: didx[(find_edge(tuple(rot(v) for v in edges[directed[n][0]])),
-                        directed[n][1])])
-
-    pairing = edge_pairing(star)
-
-    # cone angles at the two vertex orbits: sum of incident triangle corner
-    # angles over the orbit, divided by the group order
-    cone = {}
-    for label, pts in (("inner", inner), ("outer", outer)):
-        total = 0.0
-        for v in pts:
-            for f in faces:
-                for i, w in enumerate(f):
-                    if abs(w - v) < MATCH_TOL:
-                        u1 = f[(i + 1) % 3] - w
-                        u2 = f[(i + 2) % 3] - w
-                        total += abs(cmath.phase(u2 / u1))
-        cone[label] = total / 5.0
-    census = TriangulationCensus(
+    points = star.vertices + (star.center,)
+    corners = [[] for _ in points]
+    for f in faces:
+        for i, v in enumerate(f):
+            u1, u2 = (points[f[(i + k) % 3]] - points[v] for k in (1, 2))
+            corners[v].append(abs(cmath.phase(u2 / u1)))
+    # cone angles at the two vertex orbits: their corner angles over the
+    # group order
+    cone = {label: sum(a for v in vs for a in corners[v]) / 5.0
+            for label, vs in (("inner", inner), ("outer", outer))}
+    return TriangulationCensus(
         faces=tuple(faces),
         edges=tuple(edges),
-        vertices=tuple(vertices),
-        face_orbits=face_orbits,
-        edge_orbits=edge_orbits,
-        oriented_edge_orbits=oriented_edge_orbits,
-        vertex_orbits=vertex_orbits,
-        pairing=pairing,
+        vertices=inner + outer,
+        face_orbits=_rotation_orbits(faces),
+        edge_orbits=_rotation_orbits(edges),
+        oriented_edge_orbits=_rotation_orbits(edges + [e[::-1] for e in edges]),
+        vertex_orbits=_rotation_orbits([(v,) for v in inner + outer]),
+        pairing=edge_pairing(star),
+        corner_angles=tuple(map(tuple, corners)),
         cone_angles=cone,
     )
-    return census
 
 
 def quotient_euler_genus(census: TriangulationCensus | None = None) -> tuple[int, int, dict]:
-    """Euler characteristic and genus of the quotient surface.
+    """Euler characteristic and genus of the curve, the double of K.
 
-    Returns (chi, genus, metadata).  Edge count 10 = 2 ordered-pair orbits
-    + 8 oriented edge-class labels; the metadata also carries the point-set
-    quotient counts, which give chi = 2 (with center and vertices) and
-    chi = -1 (without), neither of which matches 2 - 2g for the curve.
+    Two copies of the triangulated star, boundary edge e of each copy glued
+    to its partner T_m(e) in the other.  Faces and spokes stay apart (F = 20,
+    and 20 spokes); the 20 boundary edges glue in pairs (10 more edges); the
+    corners (copy, v) merge along the glued edges' ends, by union-find.
+    Returns (chi, genus, metadata); the metadata has V, E, F, the sizes of
+    the vertex classes and each class's cone angle, the sum of its corner
+    angles.
     """
     if census is None:
         census = triangulate()
-    faces = len(census.face_orbits)
-    vertices = len(census.vertex_orbits)
-    pair_orbits = census.pairing.ordered_orbit_count
-    oriented_labels = len(census.oriented_edge_orbits)
-    if faces != 2 or vertices != 2:
-        raise CellCountMismatch(
-            f"face/vertex orbit counts {faces}/{vertices}, expected 2/2")
-    if oriented_labels != 8:
-        raise CellCountMismatch(
-            f"{oriented_labels} oriented edge-class labels, expected 8")
-    if pair_orbits != 2:
-        raise CellCountMismatch(
-            f"{pair_orbits} ordered-pair orbits, expected 2")
-    edges = pair_orbits + oriented_labels
-    chi = vertices - edges + faces
-    if (2 - chi) % 2 != 0:
-        raise CellCountMismatch(f"chi = {chi} is not of the form 2 - 2g")
-    genus = (2 - chi) // 2
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
 
-    # point-set quotient cell counts, for the record
-    glued_boundary_classes = 1        # all 10 boundary edges merge under R + gluing
-    spoke_classes = 2                 # center-inner and center-outer spokes
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    # gluing edge e of copy 0 to T_m(e) of copy 1; the partner's own entry
+    # glues copy 1's e to copy 0's T_m(e)
+    for e, m in enumerate(census.pairing.reflection_of_edge):
+        for v in (e, (e + 1) % 10):
+            parent[find((0, v))] = find((1, reflect_vertex(m, v)))
+    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for corner in [(c, v) for c in (0, 1) for v in (*census.vertices, CENTER_ID)]:
+        classes.setdefault(find(corner), []).append(corner)
+    spokes = sum(CENTER_ID in edge for edge in census.edges)
+    boundary = len(census.edges) - spokes
+    # each copy's spokes stay apart; its boundary edges glue to the other's
+    V, E, F = len(classes), 2 * spokes + boundary, 2 * len(census.faces)
+    chi = V - E + F
+    if chi % 2 != 0:
+        raise CellCountMismatch(f"chi = {chi} is not of the form 2 - 2g")
     meta = {
         "unordered_pair_orbit_sizes": census.pairing.unordered_orbit_sizes,
         "ordered_pair_orbit_sizes": tuple(
             sorted((len(o) for o in census.pairing.ordered_orbits), reverse=True)),
-        "cone_angles": dict(census.cone_angles),
-        "pointset_with_center": {"V": 3, "E": spoke_classes + glued_boundary_classes,
-                                 "F": 2, "chi": 3 - 3 + 2},
-        "pointset_without_center": {"V": 0, "E": spoke_classes + glued_boundary_classes,
-                                    "F": 2, "chi": 0 - 3 + 2},
+        "V": V, "E": E, "F": F,
+        "vertex_class_sizes": tuple(len(cl) for cl in classes.values()),
+        "cone_angle_sums": tuple(sum(sum(census.corner_angles[v]) for _c, v in cl)
+                                 for cl in classes.values()),
     }
-    return chi, genus, meta
+    return chi, (2 - chi) // 2, meta

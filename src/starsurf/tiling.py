@@ -36,8 +36,8 @@ import numpy as np
 
 from .config import UsageError
 from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, StarPolygon, TOL_GEO,
-                       build_star, locate_kinds, point_location)
-from .quotient import build_reflections, edge_pairing
+                       build_star, locate_kinds, point_location, reflect_across_ray)
+from .quotient import edge_pairing
 
 
 #: cheap reject radius around a star copy's center: above the circumradius
@@ -368,7 +368,6 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     translations = np.array([t for t, _cost, _word in _translation_values(word_length)])
     # a candidate eps^j z + t within REJECT_RADIUS has |t| <= REJECT_RADIUS + |z|
     translations = translations[np.abs(translations) <= REJECT_RADIUS + disk_radius]
-    refl = build_reflections()
     pairing = edge_pairing(star)
 
     existence_fail = []
@@ -399,7 +398,7 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     for eid in range(10):
         p, q = star.edge_endpoints(eid)
         x = p + rng.uniform(0.2, 0.8) * (q - p)
-        y = refl[pairing.reflection_of_edge[eid]](x)
+        y = reflect_across_ray(x, (2 * pairing.reflection_of_edge[eid] + 1) * math.pi / 5)
         if point_location(y, star).kind != "edge":
             raise CheckFailure(f"pairing image of {x} is not a boundary point")
         boundary_ok += 1

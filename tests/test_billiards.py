@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from starsurf.billiards import (ON_LINE, BilliardState, CenterCrossing,
+from starsurf.billiards import (ON_LINE, BilliardState, CenterCrossing, _event_table,
                                 DegenerateRay, develop, lift_trajectory,
                                 next_event, reflect_dir, simulate)
 from starsurf.config import UsageError
 from starsurf.geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, TOL_GEO,
-                               build_star, point_location)
-from starsurf.quotient import build_reflections, edge_pairing
+                               build_star, point_location, reflect_across_ray)
+from starsurf.quotient import edge_pairing
 
 STAR = build_star()
 
@@ -141,6 +141,36 @@ def test_reflect_dir_perpendicular_parallel_involution():
         assert abs(reflect_dir(reflect_dir(d, eid, STAR), eid, STAR) - d) < 1e-12
 
 
+def test_reflect_dir_is_the_mirror_the_billiard_uses():
+    # a ray reflecting at an edge leaves along reflect_dir of its direction
+    for eid in range(10):
+        p, q = STAR.edge_endpoints(eid)
+        x = p + 0.4 * (q - p)
+        n = STAR.edge_direction(eid) * 1j
+        if point_location(x + 0.01 * n, STAR).kind != "interior":
+            n = -n
+        d = -n * cmath.exp(0.3j)  # heading out at 0.3 from the normal
+        traj = simulate(x - 0.05 * d, d, 2)
+        assert traj.events[0].edge == eid
+        assert traj.segments[1].dir == reflect_dir(traj.segments[0].dir, eid, STAR)
+
+
+def test_edge_mirrors_have_the_closed_form():
+    # line k has unit normal n = e^{i pi (2k+1)/5} and foot n/2, so its mirror
+    # is z -> -n^2 conj z + n.  The linear part -n^2 is an odd power of
+    # e^{i pi/5}, a tenth root of unity that is not a fifth one: the mirrors
+    # are not of the tiling's form eps^j conj(z)^l + t
+    mirrors = _event_table(STAR, TOL_GEO)[1]
+    for k, line in enumerate(STAR.edge_lines):
+        n = cmath.exp(1j * math.pi * (2 * k + 1) / 5)
+        assert abs(line.foot - n / 2) < 1e-15
+        for eid in line.edge_ids:
+            u2, shift = mirrors[eid]
+            assert abs(u2 + n * n) < 1e-15 and abs(shift - n) < 1e-15
+            assert abs(u2 ** 5 + 1) < 1e-14
+            assert min(abs(u2 - EPSILON ** j) for j in range(5)) > 0.6
+
+
 def test_simulate_normal_incidence_retraces():
     p, q = STAR.edge_endpoints(0)
     mid = (p + q) / 2
@@ -225,8 +255,7 @@ def test_lift_tags_match_pairing_table():
         pair_m[e0] = m
         pair_m[e1] = m
     traj = simulate(0.05 + 0.13j, cmath.exp(0.53j), 8)
-    lifted = lift_trajectory(traj, STAR)
-    refls = build_reflections()
+    lifted = lift_trajectory(traj)
     for ev in lifted.events:
         if ev.kind != "reflect":
             continue
@@ -237,15 +266,14 @@ def test_lift_tags_match_pairing_table():
                                  if ev.edge in pr][0]]
         other = partner[1] if partner[0] == ev.edge else partner[0]
         r, s = STAR.edge_endpoints(other)
-        t = refls[ev.pairing_m]
-        assert min(abs(t(p) - r) + abs(t(q) - s),
-                   abs(t(p) - s) + abs(t(q) - r)) < 1e-12
+        tp, tq = (reflect_across_ray(z, (2 * ev.pairing_m + 1) * math.pi / 5) for z in (p, q))
+        assert min(abs(tp - r) + abs(tq - s), abs(tp - s) + abs(tq - r)) < 1e-12
 
 
 def test_lift_rejects_center_crossing():
     traj = simulate(0.1 + 0j, 1.0, 2)
     with pytest.raises(CenterCrossing):
-        lift_trajectory(traj, STAR)
+        lift_trajectory(traj)
 
 
 def test_lift_reversal_sector_unchanged():
@@ -255,7 +283,7 @@ def test_lift_reversal_sector_unchanged():
     d = (target - z0) / abs(target - z0)
     traj = simulate(z0, d, 2)
     assert traj.events[0].kind == "reverse"
-    lifted = lift_trajectory(traj, STAR)
+    lifted = lift_trajectory(traj)
     assert lifted.events[0].pairing_m is None
     # sector after a reversal equals the sector before it
     assert lifted.events[0].sector == 0
@@ -264,7 +292,7 @@ def test_lift_reversal_sector_unchanged():
 def test_no_boundary_events_no_tags():
     traj = simulate(0.05 + 0.13j, cmath.exp(0.53j), 0)
     assert traj.events == ()
-    lifted = lift_trajectory(traj, STAR) if traj.segments else traj
+    lifted = lift_trajectory(traj) if traj.segments else traj
     assert all(ev.pairing_m is None for ev in lifted.events)
 
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -62,6 +63,17 @@ def test_genus_subcommand(capsys):
     assert payload["genus_triangulation"] == 4
     assert payload["match"] is True
     assert payload["chi"] == -6
+    _assert_double_census(payload["census_metadata"])
+
+
+def _assert_double_census(meta):
+    # the curve as two copies of the star glued across by the T_m
+    assert set(meta) == {"unordered_pair_orbit_sizes", "ordered_pair_orbit_sizes",
+                         "V", "E", "F", "vertex_class_sizes", "cone_angle_sums"}
+    assert (meta["V"], meta["E"], meta["F"]) == (4, 30, 20)
+    assert meta["vertex_class_sizes"] == [10, 10, 1, 1]
+    assert meta["cone_angle_sums"] == pytest.approx(
+        [14 * math.pi, 2 * math.pi, 2 * math.pi, 2 * math.pi], abs=1e-12)
 
 
 def test_flow_subcommand(capsys):
@@ -125,6 +137,7 @@ def test_quotient_subcommand(capsys):
     assert (payload["faces"], payload["edges"], payload["vertices"]) == (10, 20, 10)
     assert payload["chi"] == -6 and payload["genus"] == 4
     assert payload["unordered_pair_orbit_sizes"] == [5]
+    _assert_double_census(payload["metadata"])
 
 
 def test_quotient_has_no_dump_flag(capsys):

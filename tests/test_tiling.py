@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsurf.geometry import EPSILON, INNER_RADIUS, build_star, point_location
-from starsurf.quotient import build_reflections, edge_pairing
+from starsurf.geometry import (EPSILON, INNER_RADIUS, build_star, point_location,
+                               reflect_across_ray)
+from starsurf.quotient import edge_pairing
 from starsurf.tiling import (BASE_WORDS, MotionGroupElement, _key,
                              _lattice_words, _translation_values, _word_act,
                              _word_conjugate, _word_rotate, _word_value,
@@ -222,11 +223,10 @@ def test_fundamental_domain_witness_for_neighbor_copy():
 
 def test_boundary_points_pair_under_the_identifying_reflection():
     pairing = edge_pairing(STAR)
-    refls = build_reflections()
     for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
         p, q = STAR.edge_endpoints(e0)
         x = p + 0.37 * (q - p)
-        y = refls[m](x)
+        y = reflect_across_ray(x, (2 * m + 1) * math.pi / 5)
         loc = point_location(y, STAR)
         assert loc.kind == "edge" and loc.index == e1
 
