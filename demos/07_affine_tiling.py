@@ -19,8 +19,8 @@ print(f"apothem = {apothem()!r} (exactly one half)")
 print(f"tau_0 translates the center to {tau(0)(0):.6f}")
 
 word = multiply(tau(0), multiply(tau(1), tau(4)))
-print(f"tau_0 tau_1 tau_4 translates by {word.t.real:+.12f} "
-      f"(minus the inverse golden ratio: -1/phi)")
+print(f"tau_0 tau_1 tau_4 has the exact word {word.word} and translates by "
+      f"{word(0).real:+.12f} (minus the inverse golden ratio: -1/phi)")
 
 patch = generate_patch(3)
 print(f"\ndepth-3 patch: {len(patch.centers)} star copies, "
@@ -30,8 +30,9 @@ print("\nsampled structural checks:")
 print(" ", coverage_check(samples=500, seed=1, depth=3))
 rep = invariance_freeness_checks(samples=200, seed=0, word_length=8)
 print(f"  invariance {rep['invariance_checked']} images ok; freeness "
-      f"{rep['freeness_samples']} samples ok; transitivity "
-      f"{rep['transitivity_pairs']} pairs ok")
+      f"{rep['freeness_samples']} samples ok, each at least "
+      f"{rep['freeness_margin']:.2e} from every fixed point and mirror line; "
+      f"transitivity {rep['transitivity_pairs']} pairs ok")
 
 fd = fundamental_domain_check(samples=100, seed=0, word_length=8)
 print(f"\nfundamental-domain search over {fd['samples']} samples:")

@@ -134,12 +134,6 @@ def build_triangle() -> Triangle:
     )
 
 
-def reflect_across_ray(z: complex, angle: float) -> complex:
-    """Mirror z across the line through the origin at the given angle."""
-    phase = cmath.exp(2j * angle)
-    return phase * z.conjugate()
-
-
 @dataclass(frozen=True)
 class EdgeLine:
     """One of the five lines of the star; each carries two boundary edges."""
@@ -192,7 +186,7 @@ class StarPolygon:
         if kind == "conjugate":
             base = (0.0 + 0.0j, B.conjugate(), A, B)
         elif kind == "doubled":
-            base = (0.0 + 0.0j, A, B, reflect_across_ray(A, math.pi / 5))
+            base = (0.0 + 0.0j, A, B, EPSILON * A.conjugate())  # T_0(A)
         else:
             raise ValueError(f"unknown kite kind {kind!r}")
         return [tuple(EPSILON ** nu * v for v in base) for nu in range(5)]

@@ -8,7 +8,8 @@ eps^{3k} spacing is what makes the index law
 
 hold exactly, since R^l u_k = u_{(k+2l) mod 5}.  The full motion group is
 generated by the dihedral rotations/reflections about the star center
-together with these translations; elements act as z -> R^j U^l z + t.
+together with these translations; an element (j, ell, word) acts as
+z -> R^j U^ell z + t, t the value of its integer translation word.
 
 Lattice points are exact.  2 u_k = eps^{3k}, so every translation, center
 and star vertex lies in the cyclotomic ring Z[eps] and is stored as an
@@ -25,9 +26,10 @@ non-unique, and the checks report every carrier they find.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from operator import add
@@ -36,7 +38,7 @@ import numpy as np
 
 from .config import UsageError
 from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, StarPolygon, TOL_GEO,
-                       build_star, locate_kinds, point_location, reflect_across_ray)
+                       build_star, locate_kinds, point_location)
 from .quotient import edge_pairing
 
 
@@ -61,57 +63,54 @@ def apothem(star: StarPolygon | None = None, tol: float = 1e-12) -> float:
     return sum(dists) / len(dists)
 
 
-def u_vector(k: int) -> complex:
-    """u_k = apothem * eps^{3k mod 5}: |2 u_k| = 1."""
-    return apothem() * EPSILON ** ((3 * k) % 5)
-
-
 @dataclass(frozen=True)
 class MotionGroupElement:
-    """(R^j U^l, t): z -> eps^j * (conj z if l else z) + t."""
+    """(R^j U^ell, word): z -> eps^j * (conj z if ell else z) + t, where t is
+    the value of the integer translation word, kept as given.  Elements are
+    equal when their (j, ell, key) are."""
 
     j: int = 0
     ell: int = 0
-    t: complex = 0.0 + 0.0j
+    word: tuple[int, ...] = field(default=(0,) * 5, compare=False)
+    key: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "j", self.j % 5)
         object.__setattr__(self, "ell", self.ell % 2)
+        object.__setattr__(self, "key", _key(self.word))
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
+        """The image of a point or of an array of points."""
         w = z.conjugate() if self.ell else z
-        return EPSILON ** self.j * w + self.t
+        return EPSILON ** self.j * w + _word_value(self.word)
 
     def inverse(self) -> "MotionGroupElement":
-        if self.ell:
-            # (R^j U)^{-1} = R^j U with translation -(R^j U)(t)... solved below
-            return MotionGroupElement(self.j, 1,
-                                      -(EPSILON ** self.j * self.t.conjugate()))
-        return MotionGroupElement(-self.j % 5, 0,
-                                  -(EPSILON ** (-self.j % 5) * self.t))
-
-
-def identity() -> MotionGroupElement:
-    return MotionGroupElement()
+        j = self.j if self.ell else -self.j
+        return MotionGroupElement(j, self.ell,
+                                  tuple(-l for l in _word_act(j, self.ell, self.word)))
 
 
 def tau(k: int) -> MotionGroupElement:
     """Pure translation by 2 u_k."""
     if not 0 <= k < 5:
         raise ValueError("k must be in 0..4")
-    return MotionGroupElement(0, 0, 2 * u_vector(k))
+    return MotionGroupElement(word=tuple(int(i == k) for i in range(5)))
+
+
+def reflection(m: int) -> MotionGroupElement:
+    """T_m: the mirror in the line through the center at angle (2m+1) pi/5."""
+    return MotionGroupElement(2 * m + 1, 1)
 
 
 def multiply(g1: MotionGroupElement, g2: MotionGroupElement) -> MotionGroupElement:
     """Composition g1 after g2 as affine maps.
 
     The rotation part is R^{j1+j2} when l1 is even and R^{j1-j2} when l1 is
-    odd; the translation part is R^{j1} U^{l1}(t2) + t1.
+    odd; the translation word is R^{j1} U^{l1}(word2) + word1.
     """
-    j = (g1.j + g2.j) % 5 if g1.ell == 0 else (g1.j - g2.j) % 5
-    ell = (g1.ell + g2.ell) % 2
-    t2 = g2.t.conjugate() if g1.ell else g2.t
-    return MotionGroupElement(j, ell, EPSILON ** g1.j * t2 + g1.t)
+    j = g1.j + g2.j if g1.ell == 0 else g1.j - g2.j
+    return MotionGroupElement(j, g1.ell + g2.ell,
+                              tuple(map(add, _word_act(g1.j, g1.ell, g2.word), g1.word)))
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def _key(word: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def _two_u() -> tuple[complex, ...]:
-    return tuple(2 * u_vector(k) for k in range(5))
+    return tuple(EPSILON ** (3 * k % 5) for k in range(5))
 
 
 def _word_value(word) -> complex:
@@ -247,6 +246,30 @@ def _group_elements(word_length: int,
                     yield j, ell, i
 
 
+def _fixed_set_distances(zs: np.ndarray, translations) -> np.ndarray:
+    """Each point's least distance to a set fixed by a nonidentity element
+    (R^j U^ell, t), t over the translations.
+
+    A rotation (j != 0, 0, t) fixes only t / (1 - eps^j).  A reflection
+    (j, 1, t) is a mirror when its square is the identity, R^j U(t) + t = 0,
+    i.e. that word has all letters equal; it fixes the line through t/2
+    along e^{i pi j/5}.  Every other reflection is a glide and fixes nothing.
+    """
+    values, _costs, words = (np.array(column).T for column in zip(*translations))
+    dist = np.full(len(zs), np.inf)
+    for j in range(5):
+        mirror = np.ptp(np.add(_word_act(j, 1, words), words), axis=0) == 0
+        across = (zs[:, None] - values[mirror] / 2) * cmath.exp(-1j * math.pi * j / 5)
+        dist = np.minimum(dist, np.abs(across.imag).min(axis=1, initial=np.inf))
+    # only a center whose real part is within dist of z's can lower dist
+    centers = np.sort_complex(np.concatenate([values / (1 - EPSILON ** j) for j in range(1, 5)]))
+    lo = np.searchsorted(centers.real, zs.real - dist)
+    hi = np.searchsorted(centers.real, zs.real + dist, side="right")
+    for i, z in enumerate(zs):
+        dist[i] = min(dist[i], np.abs(z - centers[lo[i]:hi[i]]).min(initial=np.inf))
+    return dist
+
+
 def invariance_freeness_checks(samples: int = 200, seed: int = 0,
                                word_length: int = 8, depth: int = 3,
                                element_sample: int = 40) -> dict:
@@ -254,8 +277,9 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
 
     - invariance: group images of sampled vpoints stay in the (enlarged)
       vpoint set;
-    - freeness: no sampled generic point is fixed by a nonidentity element
-      (translation lookups make this exact over the whole word ball);
+    - freeness: no sampled generic point lies on a set fixed by a
+      nonidentity element of the word ball; freeness_margin is the least
+      distance of a sample to such a set;
     - transitivity: every pair of sampled star copies is joined by an
       explicit translation word.
     Raises CheckFailure with a witness on any counterexample.
@@ -267,11 +291,8 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     translations = _translation_values(word_length)
     elements = list(_group_elements(word_length, translations))
     rng.shuffle(elements)
-    # the first nonidentity elements, each with its translation word
-    picked = ((j, ell, *translations[i]) for j, ell, i in elements)
-    elements = list(islice(((MotionGroupElement(j, ell, t), word)
-                            for j, ell, t, cost, word in picked if j or ell or cost),
-                           element_sample))
+    ball = (MotionGroupElement(j, ell, translations[i][2]) for j, ell, i in elements)
+    elements = list(islice((g for g in ball if g != MotionGroupElement()), element_sample))
 
     # V+ membership with an exact witness: a vpoint is a lattice word plus a
     # base vertex word, the group acts on both by the index laws, so the
@@ -285,40 +306,23 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
 
     vsamples = [(rng.randrange(len(patch.centers)), rng.randrange(len(base_vertices)))
                 for _ in range(samples)]
-    checked = 0
-    for g, t_word in elements:
-        for ci, bi in vsamples:
-            v = patch.centers[ci] + base_vertices[bi]
-            w = g(v)
-            vword = tuple(map(add, patch.words[ci], BASE_WORDS[bi]))
-            predicted = _word_value(tuple(map(add, _word_act(g.j, g.ell, vword), t_word)))
-            if abs(w - predicted) > 1e-9:
-                raise CheckFailure(f"invariance: {g} maps vpoint {v} to {w}, "
-                                   f"not a V+ point")
-            checked += 1
+    vs = np.array([patch.centers[ci] + base_vertices[bi] for ci, bi in vsamples])
+    vwords = np.array([tuple(map(add, patch.words[ci], BASE_WORDS[bi]))
+                       for ci, bi in vsamples]).reshape(-1, 5).T
+    for g in elements:
+        images = g(vs)
+        predicted = _word_value(tuple(map(add, _word_act(g.j, g.ell, vwords), g.word)))
+        bad = np.flatnonzero(np.abs(images - predicted) > 1e-9)
+        if bad.size:
+            raise CheckFailure(f"invariance: {g} maps vpoint {vs[bad[0]]} to "
+                               f"{images[bad[0]]}, not a V+ point")
 
-    # freeness: z fixed by (R^j U^l, t) iff t = z - R^j U^l z.  z is a random
-    # float point, so t_needed has no word to key by: this lookup alone
-    # matches translations by value, rounded to 1e-9.
-    tkeys = {(round(t.real * 1e9), round(t.imag * 1e9)) for t, _c, _w in translations}
-    fixers = 0
     vpoints = np.array(patch.vpoints)
-    for _ in range(samples):
-        z = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        if np.any(np.abs(z - vpoints) < 1e-6):
-            continue
-        for j in range(5):
-            for ell in (0, 1):
-                base = EPSILON ** j * (z.conjugate() if ell else z)
-                t_needed = z - base
-                if j == 0 and ell == 0:
-                    continue  # identity rotation: t must be 0, excluded below
-                key = (round(t_needed.real * 1e9), round(t_needed.imag * 1e9))
-                if key in tkeys:
-                    g = MotionGroupElement(j, ell, t_needed)
-                    if abs(g(z) - z) < 1e-12:
-                        raise CheckFailure(f"freeness: {g} fixes {z}")
-        fixers += 1
+    zs = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(samples)]
+    zs = np.array([z for z in zs if not np.any(np.abs(z - vpoints) < 1e-6)])
+    margins = _fixed_set_distances(zs, translations)
+    if margins.min(initial=np.inf) < 1e-12:
+        raise CheckFailure(f"freeness: {zs[margins.argmin()]} lies on a fixed set")
 
     # transitivity: translation word between sampled copy pairs
     pairs = [(rng.randrange(len(patch.centers)), rng.randrange(len(patch.centers)))
@@ -332,12 +336,13 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     # discreteness shadow of properness: orbit points of a sample under the
     # element list keep a positive minimum pairwise distance
     z0 = 0.31 + 0.17j
-    orbit = sorted((p.real, p.imag) for p in (g(z0) for g, _w in elements))
+    orbit = sorted((p.real, p.imag) for p in (g(z0) for g in elements))
     min_gap = min((math.dist(p, q) for p, q in zip(orbit, orbit[1:])), default=1.0)
 
     return {
-        "invariance_checked": checked,
-        "freeness_samples": fixers,
+        "invariance_checked": len(elements) * len(vs),
+        "freeness_samples": len(zs),
+        "freeness_margin": float(margins.min(initial=np.inf)),
         "transitivity_pairs": len(pairs),
         "orbit_min_gap": min_gap,
         "elements": len(elements),
@@ -398,7 +403,7 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     for eid in range(10):
         p, q = star.edge_endpoints(eid)
         x = p + rng.uniform(0.2, 0.8) * (q - p)
-        y = reflect_across_ray(x, (2 * pairing.reflection_of_edge[eid] + 1) * math.pi / 5)
+        y = reflection(pairing.reflection_of_edge[eid])(x)
         if point_location(y, star).kind != "edge":
             raise CheckFailure(f"pairing image of {x} is not a boundary point")
         boundary_ok += 1

@@ -130,6 +130,15 @@ def test_tiling_subcommand(tmp_path, capsys):
     assert svg.exists()
 
 
+def test_tiling_check_reports_a_positive_freeness_margin(tmp_path, capsys):
+    out = tmp_path / "tiling.json"
+    code, _ = run(capsys, "tiling", "--depth", "1", "--check", "--json", str(out))
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert "check_failure" not in payload
+    assert payload["invariance_freeness"]["freeness_margin"] > 0
+
+
 def test_quotient_subcommand(capsys):
     code, out = run(capsys, "quotient")
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starsurf.conformal import MU, PREVERTICES, SheetedPoint, eta
+from starsurf.conformal import MU, PREVERTICES, SheetedPoint
 from starsurf.covering import (BASEPOINT, ContinuationAmbiguity,
                                NonIntegralGenus, SheetPermutation,
                                conjugate_sheeted, connectivity_check,

@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 from starsurf.geometry import (EPSILON, INNER_RADIUS, KINDS, OUTER_RADIUS,
                                TOL_GEO, PoleError, ProjectivePoint, build_star,
                                build_triangle, icosahedron_vertices,
-                               locate_kinds, point_location, reflect_across_ray,
-                               stereographic_project)
+                               locate_kinds, point_location, stereographic_project)
+
+
+def _mirror(z: complex, angle: float) -> complex:
+    """Float oracle of a reflection: z mirrored across the line through the
+    origin at the given angle."""
+    return cmath.exp(2j * angle) * z.conjugate()
 
 
 def _crossings_inside(z: complex, verts: tuple[complex, ...]) -> bool:
@@ -186,8 +191,10 @@ def test_star_equals_union_of_kites(kind):
 
 def test_doubled_kite_matches_reflected_triangle():
     tri = build_triangle()
-    image = reflect_across_ray(tri.A, math.pi / 5)
+    image = _mirror(tri.A, math.pi / 5)
     assert abs(image - INNER_RADIUS * EPSILON) < 1e-14
+    # the doubled kite's fourth vertex is A mirrored across OB
+    assert abs(build_star().quadrilaterals("doubled")[0][3] - image) < 1e-14
 
 
 def test_build_star_deterministic():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starsurf.conformal import (CORNERS, PREVERTICES, SHEET_COUNT, SHEET_PHASE, F_Q,
-                                F_Q_inv, SheetedPoint, eta_ref, f_prime, sheet_values)
+from starsurf.conformal import (CORNERS, PREVERTICES, SHEET_COUNT, F_Q_inv,
+                                SheetedPoint, eta_ref, f_prime, sheet_values)
 from starsurf.covering import conjugate_sheeted, rotate_sheeted
 from starsurf.geometry import EPSILON, build_star, point_location
 from starsurf.metric import (Gamma, LeftDomain, SECTOR_OF_SHEET, TangentVector,

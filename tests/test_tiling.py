@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -8,18 +9,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsurf.geometry import (EPSILON, INNER_RADIUS, build_star, point_location,
-                               reflect_across_ray)
-from starsurf.quotient import edge_pairing
-from starsurf.tiling import (BASE_WORDS, MotionGroupElement, _key,
-                             _lattice_words, _translation_values, _word_act,
-                             _word_conjugate, _word_rotate, _word_value,
-                             apothem, copies_containing, coverage_check,
+from starsurf.geometry import EPSILON, INNER_RADIUS, build_star, point_location
+from starsurf.quotient import edge_pairing, reflect_vertex
+from starsurf.tiling import (BASE_WORDS, CheckFailure, MotionGroupElement,
+                             _fixed_set_distances, _key, _lattice_words,
+                             _translation_values, _word_act, _word_conjugate,
+                             _word_rotate, _word_value, apothem,
+                             copies_containing, coverage_check,
                              fundamental_domain_check, generate_patch,
-                             identity, invariance_freeness_checks, multiply,
-                             tau, u_vector)
+                             invariance_freeness_checks, multiply, reflection,
+                             tau)
 
 STAR = build_star()
+IDENTITY = MotionGroupElement()
+
+
+def u_vector(k: int) -> complex:
+    """The translation convention u_k = (1/2) eps^{3k}."""
+    return 0.5 * EPSILON ** (3 * k % 5)
+
+
+def _mirror(z: complex, angle: float) -> complex:
+    """Float oracle of a reflection: z mirrored across the line through the
+    origin at the given angle."""
+    return cmath.exp(2j * angle) * z.conjugate()
+
+
+def _random_element(rng: random.Random) -> MotionGroupElement:
+    return MotionGroupElement(rng.randrange(5), rng.randrange(2),
+                              tuple(rng.randint(-3, 3) for _ in range(5)))
 
 
 def test_apothem_is_exactly_half():
@@ -39,7 +57,7 @@ def test_translations_are_pure_and_abelian():
         for k2 in range(5):
             # the composed translations are identical; pointwise application
             # differs only by addition order
-            assert multiply(tau(k1), tau(k2)).t == multiply(tau(k2), tau(k1)).t
+            assert multiply(tau(k1), tau(k2)).word == multiply(tau(k2), tau(k1)).word
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             assert abs(tau(k1)(tau(k2)(z)) - tau(k2)(tau(k1)(z))) < 1e-15
 
@@ -76,19 +94,16 @@ def test_conjugation_index_law():
 def test_multiplication_matches_componentwise_law():
     rng = random.Random(3)
     for _ in range(50):
-        g1 = MotionGroupElement(rng.randrange(5), rng.randrange(2),
-                                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        g2 = MotionGroupElement(rng.randrange(5), rng.randrange(2),
-                                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        g1, g2 = _random_element(rng), _random_element(rng)
         prod = multiply(g1, g2)
         # action compatibility
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         assert abs(prod(z) - g1(g2(z))) < 1e-12
-        # componentwise law
+        # componentwise law, the translation part read off as the image of 0
         expected_j = (g1.j + g2.j) % 5 if g1.ell == 0 else (g1.j - g2.j) % 5
-        assert prod.j == expected_j
-        t2 = g2.t.conjugate() if g1.ell else g2.t
-        assert abs(prod.t - (EPSILON ** g1.j * t2 + g1.t)) < 1e-12
+        assert prod.j == expected_j and prod.ell == (g1.ell + g2.ell) % 2
+        t2 = g2(0).conjugate() if g1.ell else g2(0)
+        assert abs(prod(0) - (EPSILON ** g1.j * t2 + g1(0))) < 1e-12
 
 
 def test_translation_then_rotation_factorization():
@@ -96,46 +111,66 @@ def test_translation_then_rotation_factorization():
     for k in range(5):
         for j in range(5):
             for ell in range(2):
-                prod = multiply(tau(k), MotionGroupElement(j, ell, 0))
-                assert prod.j == j and prod.ell == ell
-                assert abs(prod.t - 2 * u_vector(k)) < 1e-14
+                prod = multiply(tau(k), MotionGroupElement(j, ell))
+                assert prod == MotionGroupElement(j, ell, tau(k).word)
+                assert abs(prod(0) - 2 * u_vector(k)) < 1e-14
 
 
 def test_identity_is_two_sided():
-    g = MotionGroupElement(3, 1, 0.7 - 0.2j)
-    e = identity()
-    assert multiply(g, e) == g
-    prod = multiply(e, g)
-    assert prod.j == g.j and prod.ell == g.ell and abs(prod.t - g.t) < 1e-15
+    g = MotionGroupElement(3, 1, (1, -2, 0, 3, 1))
+    assert multiply(g, IDENTITY).word == g.word == multiply(IDENTITY, g).word
+    assert multiply(g, IDENTITY) == g == multiply(IDENTITY, g)
+    z = 0.7 - 0.2j
+    assert abs(multiply(IDENTITY, g)(z) - g(z)) < 1e-15
 
 
 def test_associativity_spot_check():
     rng = random.Random(4)
     for _ in range(20):
-        gs = [MotionGroupElement(rng.randrange(5), rng.randrange(2),
-                                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-              for _ in range(3)]
+        gs = [_random_element(rng) for _ in range(3)]
         lhs = multiply(multiply(gs[0], gs[1]), gs[2])
         rhs = multiply(gs[0], multiply(gs[1], gs[2]))
-        assert lhs.j == rhs.j and lhs.ell == rhs.ell
-        assert abs(lhs.t - rhs.t) < 1e-12
+        assert lhs.word == rhs.word and lhs == rhs
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        assert abs(lhs(z) - gs[0](gs[1](gs[2](z)))) < 1e-12
 
 
 def test_inverse():
     rng = random.Random(5)
     for _ in range(20):
-        g = MotionGroupElement(rng.randrange(5), rng.randrange(2),
-                               complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        g = _random_element(rng)
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         assert abs(g.inverse()(g(z)) - z) < 1e-12
+        assert multiply(g, g.inverse()) == IDENTITY == multiply(g.inverse(), g)
+
+
+def test_equality_is_by_key():
+    # adding the all-ones word moves the word, not the element
+    g = MotionGroupElement(2, 1, (0, 1, 0, 0, 0))
+    h = MotionGroupElement(7, 3, (1, 2, 1, 1, 1))
+    assert g == h and hash(g) == hash(h) and g.word != h.word
+    assert abs(g(0.3 + 0.4j) - h(0.3 + 0.4j)) < 1e-14
+    assert g != MotionGroupElement(2, 0, (0, 1, 0, 0, 0))
+    assert MotionGroupElement(word=(1, 1, 1, 1, 1)) == IDENTITY
+
+
+def test_reflection_acts_on_vertices_by_the_id_law():
+    # T_m is vertex v -> 2 + 4m - v on ids, and the mirror across angle (2m+1) pi/5
+    for m in range(5):
+        g = reflection(m)
+        assert multiply(g, g) == IDENTITY
+        for v in range(10):
+            image = g(STAR.vertices[v])
+            assert abs(image - STAR.vertices[reflect_vertex(m, v)]) < 1e-14
+            assert abs(image - _mirror(STAR.vertices[v], (2 * m + 1) * math.pi / 5)) < 1e-14
 
 
 def test_golden_contraction_word():
     # tau_0 tau_1 tau_4 is a translation by exactly -a = -1/phi: the
     # translation group is not discrete
     word = multiply(tau(0), multiply(tau(1), tau(4)))
-    assert word.j == 0 and word.ell == 0
-    assert abs(word.t + INNER_RADIUS) < 1e-14
+    assert word == MotionGroupElement(word=(1, 1, 0, 0, 1))
+    assert abs(word(0) + INNER_RADIUS) < 1e-14
 
 
 def test_patch_depths():
@@ -196,6 +231,65 @@ def test_invariance_freeness_transitivity():
     assert report["orbit_min_gap"] > 1e-9
 
 
+TRANSLATIONS = _translation_values(8)
+
+
+def _rotation_centers():
+    """Points t / (1 - eps^j) fixed by the rotations (j != 0, 0, t) of the ball."""
+    return [t / (1 - EPSILON ** j) for j in (1, 2, 3, 4) for t, _c, _w in TRANSLATIONS[::997]]
+
+
+#: the ball's mirrors (j, 1, t), found in floats: eps^j conj t + t = 0
+MIRRORS = [(j, t, w) for j in range(5) for t, _c, w in TRANSLATIONS
+           if abs(EPSILON ** j * t.conjugate() + t) < 1e-9]
+
+
+def _mirror_points():
+    """Points on the mirrors' fixed lines, through t/2 along e^{i pi j/5}."""
+    return [t / 2 + 0.3 * cmath.exp(1j * math.pi * j / 5) for j, t, _w in MIRRORS[::20]]
+
+
+def test_freeness_margin_vanishes_on_fixed_sets():
+    generic = 0.31 + 0.17j
+    for points in (_rotation_centers(), _mirror_points()):
+        assert len(points) >= 10
+        dist = _fixed_set_distances(np.array(points + [generic]), TRANSLATIONS)
+        assert np.all(dist[:-1] < 1e-12) and dist[-1] > 1e-6
+    # the mirrors found in floats are the words with R^j U(t) + t all one letter
+    words = {(j, w) for j in range(5) for _t, _c, w in TRANSLATIONS
+             if len(set(map(operator.add, _word_act(j, 1, w), w))) == 1}
+    assert words == {(j, w) for j, _t, w in MIRRORS} and len(words) == 205
+
+
+def test_fixed_set_distances_match_a_float_oracle():
+    rng = random.Random(6)
+    zs = np.array([complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(100)])
+    values = np.array([t for t, _c, _w in TRANSLATIONS])
+    centers = np.concatenate([values / (1 - EPSILON ** j) for j in (1, 2, 3, 4)])
+    oracle = np.abs(zs[:, None] - centers).min(axis=1)
+    for j, t, _w in MIRRORS:
+        axis = cmath.exp(1j * math.pi * j / 5)
+        oracle = np.minimum(oracle, np.abs(((zs - t / 2) / axis).imag))
+    assert np.allclose(_fixed_set_distances(zs, TRANSLATIONS), oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fixed", [_rotation_centers()[3], _mirror_points()[4]],
+                         ids=["rotation-center", "mirror-line"])
+def test_freeness_check_fails_on_a_fixed_sample(fixed, monkeypatch):
+    # every freeness sample drawn at a fixed point of the word ball
+    coords = itertools.cycle((fixed.real, fixed.imag))
+    monkeypatch.setattr(random.Random, "uniform", lambda self, a, b: next(coords))
+    with pytest.raises(CheckFailure, match="freeness"):
+        invariance_freeness_checks()
+
+
+def test_freeness_margin_ledger_figure():
+    # 10d's samples keep off every fixed set of the word ball
+    report = invariance_freeness_checks()
+    assert report["freeness_samples"] == 200
+    assert report["freeness_margin"] == pytest.approx(2.4919e-5, rel=1e-3)
+
+
 def test_fundamental_domain_existence_and_multiplicity():
     report = fundamental_domain_check(samples=60, seed=0, word_length=6)
     assert report["existence_failures"] == 0
@@ -226,7 +320,8 @@ def test_boundary_points_pair_under_the_identifying_reflection():
     for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
         p, q = STAR.edge_endpoints(e0)
         x = p + 0.37 * (q - p)
-        y = reflect_across_ray(x, (2 * m + 1) * math.pi / 5)
+        y = reflection(m)(x)
+        assert abs(y - _mirror(x, (2 * m + 1) * math.pi / 5)) < 1e-15
         loc = point_location(y, STAR)
         assert loc.kind == "edge" and loc.index == e1
 
@@ -235,29 +330,7 @@ def test_boundary_points_pair_under_the_identifying_reflection():
 
 WORDS = st.tuples(*[st.integers(-8, 8)] * 5)
 BALL = st.sampled_from(list(map(tuple, _lattice_words(8).tolist())))
-ELEMENTS = st.tuples(st.integers(0, 4), st.integers(0, 1), WORDS)
-ZERO = (0,) * 5
-
-
-def _wmul(g1, g2):
-    """(R^j U^l, word) composition, g1 after g2, on integer words."""
-    (j1, l1, w1), (j2, l2, w2) = g1, g2
-    j = (j1 + j2) % 5 if l1 == 0 else (j1 - j2) % 5
-    return j, (l1 + l2) % 2, tuple(a + b for a, b in zip(_word_act(j1, l1, w2), w1))
-
-
-def _winv(g):
-    j, ell, w = g
-    j_inv = j if ell else -j % 5
-    return j_inv, ell, tuple(-l for l in _word_act(j_inv, ell, w))
-
-
-def _exact(g):
-    return g[0], g[1], _key(g[2])
-
-
-def _element(g):
-    return MotionGroupElement(g[0], g[1], _word_value(g[2]))
+ELEMENTS = st.builds(MotionGroupElement, st.integers(0, 4), st.integers(0, 1), WORDS)
 
 
 @settings(deadline=None)
@@ -283,23 +356,19 @@ def test_equal_keys_iff_equal_values(w1, w2, shift):
 @settings(deadline=None)
 @given(ELEMENTS, ELEMENTS, ELEMENTS)
 def test_word_group_laws_hold_exactly(g1, g2, g3):
-    assert _exact(_wmul(_wmul(g1, g2), g3)) == _exact(_wmul(g1, _wmul(g2, g3)))
-    unit = (0, 0, _key(ZERO))
-    assert _exact(_wmul(g1, _winv(g1))) == unit
-    assert _exact(_wmul(_winv(g1), g1)) == unit
-    # the word product is the float product of the public API
-    prod = multiply(_element(g1), _element(g2))
-    assert abs(_word_value(_wmul(g1, g2)[2]) - prod.t) < 1e-12
+    assert multiply(multiply(g1, g2), g3) == multiply(g1, multiply(g2, g3))
+    assert multiply(g1, g1.inverse()) == IDENTITY == multiply(g1.inverse(), g1)
+    # the word product acts on points as the composed maps
+    z = 0.31 - 0.17j
+    assert abs(multiply(g1, g2)(z) - g1(g2(z))) < 1e-11
 
 
 def test_index_law_holds_exactly():
     # tau_{(k+2l) mod 5} o R^l = R^l o tau_k as words, for every k and l
     for k in range(5):
         for ell in range(5):
-            tau_k = (0, 0, tuple(int(i == k) for i in range(5)))
-            tau_kl = (0, 0, tuple(int(i == (k + 2 * ell) % 5) for i in range(5)))
-            rot = (ell, 0, ZERO)
-            assert _exact(_wmul(tau_kl, rot)) == _exact(_wmul(rot, tau_k))
+            rot = MotionGroupElement(ell)
+            assert multiply(tau((k + 2 * ell) % 5), rot) == multiply(rot, tau(k))
 
 
 def test_base_words_are_the_star_vertices():
