@@ -177,11 +177,12 @@ BASE_WORDS = ((0,) * 5,) + tuple(_word_rotate(w, k) for k in range(5)
                                  for w in ((0, 0, 1, 1, 0), (1, 0, 1, 0, 0)))
 
 
+@lru_cache(maxsize=2)  # the patch's ball and the checks' ball
 def _translation_values(word_length: int, include_inverses: bool = True
-                        ) -> list[tuple[complex, int, tuple[int, ...]]]:
-    """Distinct translation values of the word ball with their cost and
-    shortest word (lexicographically first on ties), in the order of each
-    key's first word."""
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (values, costs, (5, n) words) of the word ball's distinct
+    translations: each key's least cost and shortest word (lexicographically
+    first on ties), in the order of each key's first word.  Cached."""
     words = _lattice_words(word_length, include_inverses)
     costs = np.abs(words).sum(axis=1)
     # key digits lie in -2 L..2 L, so their base 4 L + 1 codes are unique
@@ -189,17 +190,22 @@ def _translation_values(word_length: int, include_inverses: bool = True
     _, first = np.unique(codes, return_index=True)
     order = np.lexsort((costs, codes))  # stable, so lexicographic on ties
     best = order[np.r_[True, np.diff(codes[order]) != 0]][np.argsort(first)]
-    columns = words[best].T
-    return list(zip(_word_value(columns).tolist(), costs[best].tolist(), zip(*columns.tolist())))
+    columns = words[best].T.astype(int)
+    ball = (_word_value(columns), costs[best], columns)
+    for array in ball:
+        array.flags.writeable = False
+    return ball
 
 
+@lru_cache(maxsize=2)
 def generate_patch(depth: int, include_inverses: bool = True) -> TilingPatch:
-    """Patch of build_star() copies; its vertices are the BASE_WORDS."""
+    """Patch of build_star() copies; its vertices are the BASE_WORDS.  Cached."""
     if depth < 0:
         raise UsageError("depth must be nonnegative")
     if depth > 6:
         raise UsageError("desk-scale patches stop at depth 6")
-    items = sorted(((t, w) for t, _cost, w in _translation_values(depth, include_inverses)),
+    values, _costs, words = _translation_values(depth, include_inverses)
+    items = sorted(zip(values.tolist(), zip(*words.tolist())),
                    key=lambda cw: (abs(cw[0]), cw[0].real, cw[0].imag))
     centers, words = zip(*items)
 
@@ -234,40 +240,60 @@ def _in_copies(zs, centers: np.ndarray, star: StarPolygon,
     return inside, kinds.size, n_near
 
 
-def _group_elements(word_length: int,
-                    translations: list[tuple[complex, int, tuple[int, ...]]]):
-    """Triples (j, ell, i) standing for (R^j U^ell, translations[i]), with
-    rotation, reflection and translation letters <= L."""
-    for j in range(5):
-        for ell in (0, 1):
-            budget = word_length - min(j, 5 - j) - ell
-            for i, (_t, cost, _word) in enumerate(translations):
-                if cost <= budget:
-                    yield j, ell, i
+def _nearest(zs: np.ndarray, points, reach) -> np.ndarray:
+    """Each z's distance to the nearest point whose real part is within reach
+    of z's (inf if none), searched in that window of the sorted points."""
+    p = np.sort_complex(np.asarray(points))
+    lo = np.searchsorted(p.real, zs.real - reach)
+    hi = np.searchsorted(p.real, zs.real + reach, side="right")
+    dist = np.full(len(zs), np.inf)
+    for i in np.flatnonzero(hi > lo):
+        dist[i] = np.abs(zs[i] - p[lo[i]:hi[i]]).min()
+    return dist
 
 
-def _fixed_set_distances(zs: np.ndarray, translations) -> np.ndarray:
+def _samples(rng: random.Random, n: int, half_width: float, vpoints,
+             radius: float = math.inf) -> np.ndarray:
+    """Of n draws from the square |Re|, |Im| <= half_width, in drawing order,
+    those within radius of 0 and at distance >= 1e-6 from every vpoint."""
+    zs = np.array([complex(rng.uniform(-half_width, half_width),
+                           rng.uniform(-half_width, half_width)) for _ in range(n)])
+    return zs[(np.abs(zs) <= radius) & (_nearest(zs, vpoints, 2e-6) >= 1e-6)]
+
+
+def _draw_elements(rng: random.Random, word_length: int,
+                   count: int) -> list[MotionGroupElement]:
+    """The first count nonidentity elements of a shuffle of the (R^j U^ell, t)
+    with rotation, reflection and translation letters <= L, listed by (j, ell)
+    then ball order.  Shuffling their indices is the same permutation."""
+    _values, costs, words = _translation_values(word_length)
+    letters = np.array([[min(j, 5 - j) + ell for ell in (0, 1)] for j in range(5)])
+    js, ells, members = np.nonzero(costs <= word_length - letters[:, :, None])
+    order = list(range(len(js)))
+    rng.shuffle(order)
+    ball = (MotionGroupElement(int(js[n]), int(ells[n]), tuple(words[:, members[n]].tolist()))
+            for n in order)
+    return list(islice((g for g in ball if g != MotionGroupElement()), count))
+
+
+def _fixed_set_distances(zs: np.ndarray, ball) -> np.ndarray:
     """Each point's least distance to a set fixed by a nonidentity element
-    (R^j U^ell, t), t over the translations.
+    (R^j U^ell, t), t over the translations of the ball (values, costs, words).
 
     A rotation (j != 0, 0, t) fixes only t / (1 - eps^j).  A reflection
     (j, 1, t) is a mirror when its square is the identity, R^j U(t) + t = 0,
     i.e. that word has all letters equal; it fixes the line through t/2
     along e^{i pi j/5}.  Every other reflection is a glide and fixes nothing.
     """
-    values, _costs, words = (np.array(column).T for column in zip(*translations))
+    values, _costs, words = ball
     dist = np.full(len(zs), np.inf)
     for j in range(5):
         mirror = np.ptp(np.add(_word_act(j, 1, words), words), axis=0) == 0
         across = (zs[:, None] - values[mirror] / 2) * cmath.exp(-1j * math.pi * j / 5)
         dist = np.minimum(dist, np.abs(across.imag).min(axis=1, initial=np.inf))
     # only a center whose real part is within dist of z's can lower dist
-    centers = np.sort_complex(np.concatenate([values / (1 - EPSILON ** j) for j in range(1, 5)]))
-    lo = np.searchsorted(centers.real, zs.real - dist)
-    hi = np.searchsorted(centers.real, zs.real + dist, side="right")
-    for i, z in enumerate(zs):
-        dist[i] = min(dist[i], np.abs(z - centers[lo[i]:hi[i]]).min(initial=np.inf))
-    return dist
+    centers = np.concatenate([values / (1 - EPSILON ** j) for j in range(1, 5)])
+    return np.minimum(dist, _nearest(zs, centers, dist))
 
 
 def invariance_freeness_checks(samples: int = 200, seed: int = 0,
@@ -288,11 +314,7 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     star = build_star()
     patch = generate_patch(depth)
 
-    translations = _translation_values(word_length)
-    elements = list(_group_elements(word_length, translations))
-    rng.shuffle(elements)
-    ball = (MotionGroupElement(j, ell, translations[i][2]) for j, ell, i in elements)
-    elements = list(islice((g for g in ball if g != MotionGroupElement()), element_sample))
+    elements = _draw_elements(rng, word_length, element_sample)
 
     # V+ membership with an exact witness: a vpoint is a lattice word plus a
     # base vertex word, the group acts on both by the index laws, so the
@@ -317,10 +339,8 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
             raise CheckFailure(f"invariance: {g} maps vpoint {vs[bad[0]]} to "
                                f"{images[bad[0]]}, not a V+ point")
 
-    vpoints = np.array(patch.vpoints)
-    zs = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(samples)]
-    zs = np.array([z for z in zs if not np.any(np.abs(z - vpoints) < 1e-6)])
-    margins = _fixed_set_distances(zs, translations)
+    zs = _samples(rng, samples, 1.2, patch.vpoints)
+    margins = _fixed_set_distances(zs, _translation_values(word_length))
     if margins.min(initial=np.inf) < 1e-12:
         raise CheckFailure(f"freeness: {zs[margins.argmin()]} lies on a fixed set")
 
@@ -355,45 +375,40 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     """Carrier search into the closed star for sampled plane points.
 
     For each sample z (off the vertex set) every rotation-translation
-    element g with g(z) in the closed punctured star is a carrier.  A
-    sample's candidate images g(z), all rotations times all translations of
-    the word ball, are classified in one locate_kinds call.  Reports
-    existence (every sample has a carrier), the number of distinct interior
-    images and the candidates classified, near_boundary of them as
-    locate_kinds counts them; boundary samples are checked to have exactly
-    the two edge-pairing representatives x and T_m(x).
-
-    The translation group is non-discrete, so several carriers with
-    distinct interior images exist for generic samples; interior_unique
-    records how many samples had exactly one.
+    element g with g(z) in the closed punctured star is a carrier.  The star
+    and the word ball are R-invariant, so eps^j z + t is in the star exactly
+    when z + eps^-j t is: every rotation has the identity's carriers, and
+    only the candidates z + t are classified, one locate_kinds call a sample.
+    Reports existence (every sample has a carrier), the number of distinct
+    interior images (5 times the identity's), the candidates classified and
+    near_boundary of them as locate_kinds counts them; boundary samples are
+    checked to have exactly the two edge-pairing representatives x and
+    T_m(x).  The group is non-discrete, so generic samples have several
+    interior images; interior_unique counts the samples with exactly one.
     """
     rng = random.Random(seed)
     star = build_star()
-    vpoints = np.array(generate_patch(depth).vpoints)
-    translations = np.array([t for t, _cost, _word in _translation_values(word_length)])
-    # a candidate eps^j z + t within REJECT_RADIUS has |t| <= REJECT_RADIUS + |z|
-    translations = translations[np.abs(translations) <= REJECT_RADIUS + disk_radius]
+    values = _translation_values(word_length)[0]
+    # a candidate z + t within REJECT_RADIUS has |t| <= REJECT_RADIUS + |z|
+    translations = values[np.abs(values) <= REJECT_RADIUS + disk_radius]
     pairing = edge_pairing(star)
 
+    zs = _samples(rng, samples, disk_radius, generate_patch(depth).vpoints, disk_radius)
     existence_fail = []
     multiplicities = []
     candidates = near_boundary = 0
-    for _ in range(samples):
-        z = complex(rng.uniform(-disk_radius, disk_radius),
-                    rng.uniform(-disk_radius, disk_radius))
-        if abs(z) > disk_radius or np.any(np.abs(z - vpoints) < 1e-6):
-            continue
+    for z in zs:
         # carriers are distinct (j, t) pairs: one rotation's images differ by
         # distinct translations (>= 0.09 apart), two rotations' images meet
         # only for non-generic z, so each interior carrier is its own image
-        w = np.array([EPSILON ** j * z for j in range(5)])[:, None] + translations
+        w = z + translations
         kinds, n_near = locate_kinds(w[np.abs(w) <= REJECT_RADIUS], star)
         candidates += kinds.size
         near_boundary += n_near
         if not np.count_nonzero((kinds != EXTERIOR) & (kinds != CENTER)):
-            existence_fail.append(z)
+            existence_fail.append(complex(z))
             continue
-        multiplicities.append(int(np.count_nonzero(kinds == INTERIOR)))
+        multiplicities.append(5 * int(np.count_nonzero(kinds == INTERIOR)))
 
     if existence_fail:
         raise CheckFailure(f"no carrier found for {existence_fail[:3]} ...")
@@ -433,18 +448,15 @@ def coverage_check(samples: int = 500, seed: int = 1, depth: int = 3,
     fundamental_domain_check."""
     rng = random.Random(seed)
     patch = generate_patch(depth)
-    vpoints = np.array(patch.vpoints)
-    zs = []
-    while len(zs) < samples:
-        z = complex(rng.uniform(-disk_radius, disk_radius),
-                    rng.uniform(-disk_radius, disk_radius))
-        if abs(z) <= disk_radius and not np.any(np.abs(z - vpoints) < 1e-6):
-            zs.append(z)
+    zs = np.empty(0, dtype=complex)
+    while len(zs) < samples:  # drawing only the missing ones stops at the last sample
+        zs = np.concatenate([zs, _samples(rng, samples - len(zs), disk_radius, patch.vpoints,
+                                          disk_radius)])
     centers, star = np.array(patch.centers), build_star()
     misses = []
     candidates = near_boundary = 0
     for start in range(0, len(zs), COVERAGE_CHUNK):
-        chunk = np.array(zs[start:start + COVERAGE_CHUNK])
+        chunk = zs[start:start + COVERAGE_CHUNK]
         inside, classified, n_near = _in_copies(chunk, centers, star)
         misses += chunk[~inside.any(axis=1)].tolist()
         candidates += classified

@@ -459,7 +459,8 @@ EXPECTED_FAILURES = {"09b-pairing-orbits", "10f-fundamental-domain-uniqueness"}
 
 
 def run_verify(module: str | None = None) -> VerifyLedger:
-    _carrier_search.cache_clear()  # each ledger times its own search
+    for cached in (tl._translation_values, tl.generate_patch, _carrier_search):
+        cached.cache_clear()  # each ledger times its own word balls, patch and search
     ledger = VerifyLedger([fn() for fn in CHECKS
                            if module is None or fn.module == module])
     ledger.entries.sort(key=lambda e: e.check_id)

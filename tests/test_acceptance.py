@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from starsurf import tiling
 from starsurf.verify import (CHECKS, EXPECTED_FAILURES, RUNTIME_BUDGETS, budget_report,
                              run_verify)
 
@@ -65,3 +66,15 @@ def test_ledger_matches_the_benchmark_reference():
         assert entry.passed == ref["passed"], entry.check_id
         if entry.check_id.split("-")[0] in COUNTED:
             assert entry.measured == ref["measured"], entry.check_id
+
+
+def test_each_ledger_builds_its_own_word_balls():
+    # run_verify empties the tiling caches, so each ledger misses the cache
+    # once for the patch's ball and once for the checks' ball, times their
+    # builds, and reads the same figures
+    ledgers, infos = [], []
+    for _ in range(2):
+        ledgers.append([(e.check_id, e.passed, e.measured) for e in run_verify().entries])
+        infos.append(tiling._translation_values.cache_info())
+    assert ledgers[0] == ledgers[1]
+    assert infos[0] == infos[1] and infos[0].misses == 2

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsurf.geometry import EPSILON, INNER_RADIUS, build_star, point_location
+from starsurf.geometry import (CENTER, EPSILON, EXTERIOR, INNER_RADIUS, INTERIOR,
+                               build_star, locate_kinds, point_location)
 from starsurf.quotient import edge_pairing, reflect_vertex
-from starsurf.tiling import (BASE_WORDS, CheckFailure, MotionGroupElement,
+from starsurf.tiling import (BASE_WORDS, REJECT_RADIUS, CheckFailure,
+                             MotionGroupElement, _draw_elements,
                              _fixed_set_distances, _key, _lattice_words,
-                             _translation_values, _word_act, _word_conjugate,
-                             _word_rotate, _word_value, apothem,
-                             copies_containing, coverage_check,
+                             _samples, _translation_values, _word_act,
+                             _word_conjugate, _word_rotate, _word_value,
+                             apothem, copies_containing, coverage_check,
                              fundamental_domain_check, generate_patch,
                              invariance_freeness_checks, multiply, reflection,
                              tau)
@@ -231,7 +233,16 @@ def test_invariance_freeness_transitivity():
     assert report["orbit_min_gap"] > 1e-9
 
 
-TRANSLATIONS = _translation_values(8)
+WORD_BALL = _translation_values(8)
+
+
+def _triples(ball):
+    """The ball as (value, cost, word) triples of Python scalars."""
+    values, costs, words = ball
+    return list(zip(values.tolist(), costs.tolist(), zip(*words.tolist())))
+
+
+TRANSLATIONS = _triples(WORD_BALL)
 
 
 def _rotation_centers():
@@ -253,7 +264,7 @@ def test_freeness_margin_vanishes_on_fixed_sets():
     generic = 0.31 + 0.17j
     for points in (_rotation_centers(), _mirror_points()):
         assert len(points) >= 10
-        dist = _fixed_set_distances(np.array(points + [generic]), TRANSLATIONS)
+        dist = _fixed_set_distances(np.array(points + [generic]), WORD_BALL)
         assert np.all(dist[:-1] < 1e-12) and dist[-1] > 1e-6
     # the mirrors found in floats are the words with R^j U(t) + t all one letter
     words = {(j, w) for j in range(5) for _t, _c, w in TRANSLATIONS
@@ -264,13 +275,13 @@ def test_freeness_margin_vanishes_on_fixed_sets():
 def test_fixed_set_distances_match_a_float_oracle():
     rng = random.Random(6)
     zs = np.array([complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(100)])
-    values = np.array([t for t, _c, _w in TRANSLATIONS])
+    values = WORD_BALL[0]
     centers = np.concatenate([values / (1 - EPSILON ** j) for j in (1, 2, 3, 4)])
     oracle = np.abs(zs[:, None] - centers).min(axis=1)
     for j, t, _w in MIRRORS:
         axis = cmath.exp(1j * math.pi * j / 5)
         oracle = np.minimum(oracle, np.abs(((zs - t / 2) / axis).imag))
-    assert np.allclose(_fixed_set_distances(zs, TRANSLATIONS), oracle, rtol=0, atol=1e-12)
+    assert np.allclose(_fixed_set_distances(zs, WORD_BALL), oracle, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("fixed", [_rotation_centers()[3], _mirror_points()[4]],
@@ -305,7 +316,92 @@ def test_fundamental_domain_check_ledger_figures():
     assert report == {"samples": 151, "existence_failures": 0,
                       "interior_unique": 0, "interior_multi": 151,
                       "max_multiplicity": 865, "boundary_pairs_checked": 10,
-                      "candidates": 379590, "near_boundary": 0}
+                      "candidates": 75918, "near_boundary": 0}
+
+
+def _samples_one_at_a_time(rng, samples):
+    """The carrier search's samples in the 0.9 disk, drawn and filtered one
+    at a time against the depth-3 patch's vpoints."""
+    vpoints = np.array(generate_patch(3).vpoints)
+    for _ in range(samples):
+        z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+        if abs(z) <= 0.9 and not np.any(np.abs(z - vpoints) < 1e-6):
+            yield z
+
+
+def test_fundamental_domain_check_matches_the_five_rotation_search():
+    # the brute force classifies eps^j z + t for all five rotations j; each
+    # rotation finds the same counts, so the report's one rotation suffices
+    values = WORD_BALL[0]
+    translations = values[np.abs(values) <= REJECT_RADIUS + 0.9]
+    multiplicities, candidates = [], 0
+    for z in _samples_one_at_a_time(random.Random(0), 200):
+        counts = set()
+        for j in range(5):
+            w = EPSILON ** j * z + translations
+            kinds, _near = locate_kinds(w[np.abs(w) <= REJECT_RADIUS], STAR)
+            carriers = np.count_nonzero((kinds != EXTERIOR) & (kinds != CENTER))
+            counts.add((np.count_nonzero(kinds == INTERIOR), carriers, kinds.size))
+        assert len(counts) == 1, z
+        (interior, carriers, size), = counts
+        assert carriers > 0, z
+        multiplicities.append(5 * interior)
+        candidates += 5 * size
+    report = fundamental_domain_check(samples=200, seed=0, word_length=8)
+    assert report["existence_failures"] == 0
+    assert report["samples"] == len(multiplicities) == 151
+    assert report["interior_unique"] == multiplicities.count(1)
+    assert report["interior_multi"] == sum(m > 1 for m in multiplicities)
+    assert report["max_multiplicity"] == max(multiplicities)
+    assert 5 * report["candidates"] == candidates
+
+
+class _Replay:
+    """A stand-in rng whose uniform draws replay the given points' coordinates."""
+
+    def __init__(self, points):
+        self._coords = iter([c for z in points for c in (z.real, z.imag)])
+
+    def uniform(self, _a, _b):
+        return next(self._coords)
+
+
+def test_samples_keep_off_the_vertex_set_as_a_per_sample_oracle():
+    # the checks' test, |z - v| >= 1e-6 for every vpoint v, is searched in a
+    # window of real parts; points near the vpoints exercise the window
+    patch = generate_patch(2)
+    vpoints = np.array(patch.vpoints)
+    rng = random.Random(7)
+    near = [v + d * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            for v in vpoints[::7] for d in (0.0, 3e-7, 9.9e-7, 1.01e-6, 1.9e-6, 3e-6)]
+    zs = near + [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(300)]
+    kept = [z for z in zs if not np.any(np.abs(z - vpoints) < 1e-6)]
+    assert 0 < len(kept) - 300 < len(near)
+    assert _samples(_Replay(zs), len(zs), 3.0, patch.vpoints).tolist() == kept
+    assert _samples(_Replay(zs), len(zs), 3.0, patch.vpoints, 1.0).tolist() == [
+        z for z in kept if abs(z) <= 1.0]
+
+
+def _shuffled_list_draw(rng):
+    """10d's element draw as a list: every (j, ell, i) with rotation,
+    reflection and translation letters <= 8, shuffled; the first 40
+    nonidentity elements."""
+    triples = [(j, ell, i) for j in range(5) for ell in (0, 1)
+               for i, (_t, cost, _w) in enumerate(TRANSLATIONS)
+               if cost <= 8 - min(j, 5 - j) - ell]
+    assert len(triples) == 30490
+    rng.shuffle(triples)
+    ball = (MotionGroupElement(j, ell, TRANSLATIONS[i][2]) for j, ell, i in triples)
+    return list(itertools.islice((g for g in ball if g != IDENTITY), 40))
+
+
+def test_element_draw_by_index_matches_the_shuffled_list():
+    fast, slow = random.Random(0), random.Random(0)
+    drawn = _draw_elements(fast, 8, 40)
+    expected = _shuffled_list_draw(slow)
+    assert [(g.j, g.ell, g.word) for g in drawn] == [(g.j, g.ell, g.word) for g in expected]
+    assert all(type(n) is int for g in drawn for n in (g.j, g.ell) + g.word)
+    assert fast.getstate() == slow.getstate()
 
 
 def test_fundamental_domain_witness_for_neighbor_copy():
@@ -380,7 +476,7 @@ def test_base_words_are_the_star_vertices():
 
 
 def test_translation_ball_has_6661_points():
-    translations = _translation_values(8)
+    translations = _triples(_translation_values(8))
     assert len(translations) == 6661
     # independent float oracle: the values themselves separate 6661 points
     assert len({(round(t.real, 6), round(t.imag, 6))
@@ -413,10 +509,36 @@ def test_translation_values_match_the_product_oracle():
                 old = best.get(_key(w))
                 if old is None or sum(map(abs, w)) < sum(map(abs, old)):
                     best[_key(w)] = w
-            values, costs, words = zip(*_translation_values(depth, include_inverses))
+            ball = _translation_values(depth, include_inverses)
+            assert ball[1].dtype == ball[2].dtype == np.dtype(int)
+            values, costs, words = zip(*_triples(ball))
             assert words == tuple(best.values())
             assert [_key(w) for w in words] == list(best)
             assert list(costs) == [sum(map(abs, w)) for w in words]
             assert all(type(c) is int and type(w[0]) is int for c, w in zip(costs, words))
             # bit-identical values, signed zeros included
             assert list(map(repr, values)) == [repr(_word_value(w)) for w in words]
+
+
+def test_translation_values_are_cached_and_read_only():
+    ball = _translation_values(8)
+    assert _translation_values(8) is ball
+    for array in ball:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 0
+    assert generate_patch(3) is generate_patch(3)
+
+
+#: the L = 8 ball's least cost of each exact key
+LEAST_COST = {_key(w): cost for _t, cost, w in TRANSLATIONS}
+
+
+@settings(deadline=None)
+@given(BALL)
+def test_word_ball_is_rotation_and_reflection_invariant(w):
+    # R and U map the ball's keys onto its keys and keep each key's least
+    # cost: the lemma that lets the carrier search classify one rotation
+    cost = LEAST_COST[_key(w)]
+    assert cost <= sum(map(abs, w))
+    assert LEAST_COST[_key(_word_rotate(w, 1))] == cost
+    assert LEAST_COST[_key(_word_conjugate(w))] == cost
