@@ -10,18 +10,16 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 
 from . import billiards as bl
-from . import covering as cov
 from . import metric as mt
 from . import quotient as qt
-from . import tiling as tl
 from . import svgout
 from .config import UsageError, load_settings
 from .conformal import SHEET_COUNT, F_T, SheetedPoint, compute_k, eta
 from .geometry import build_star
-from .verify import CHECKS, budget_report, run_verify
 
 
 def _cpx(value: str) -> complex:
@@ -34,6 +32,13 @@ def _positive_int(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {n}")
     return n
+
+
+def _verify_module(value: str) -> str:
+    from .verify import CHECKS  # the registry loads numpy: only when asked
+    if value not in (modules := sorted({fn.module for fn in CHECKS})):
+        raise argparse.ArgumentTypeError(f"invalid choice {value!r}, choose from {modules}")
+    return value
 
 
 def _c2l(z: complex) -> list[float]:
@@ -50,6 +55,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_star(args) -> int:
+    from . import tiling as tl  # the array modules load only where used
     star = build_star()
     payload = {
         "center": _c2l(star.center),
@@ -87,6 +93,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_genus(args) -> int:
+    from . import covering as cov
     reports = cov.ramification_report()
     r = cov.total_ramification(reports)
     g_rh = cov.genus_riemann_hurwitz(reports)
@@ -162,6 +169,7 @@ def cmd_billiard(args) -> int:
 
 
 def cmd_tiling(args) -> int:
+    from . import tiling as tl
     star = build_star()
     patch = tl.generate_patch(args.depth)
     payload = {
@@ -212,6 +220,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import budget_report, run_verify
     ledger = run_verify(module=args.module)
     for e in ledger.entries:
         flag = "PASS" if e.passed else "FAIL"
@@ -288,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("verify", help="run every acceptance check")
-    p.add_argument("--module", choices=sorted({fn.module for fn in CHECKS}),
-                   help="run only this module's checks")
+    p.add_argument("--module", type=_verify_module, help="run only this module's checks")
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify)
 
@@ -297,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")  # before numpy loads: idle BLAS threads spin
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

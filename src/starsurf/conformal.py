@@ -34,12 +34,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import accumulate
+from operator import mul
 
 from .config import UsageError
 from .geometry import INNER_RADIUS, OUTER_RADIUS
-from .quadrature import DEFAULT_RULE, QuadratureRule, clog, contour, panel
 
 A = INNER_RADIUS
 B = OUTER_RADIUS
@@ -52,6 +51,13 @@ SHEET_COUNT = 10
 BRANCH_PHASE = cmath.exp(4j * math.pi / 5)
 #: e^{i pi m/5}, the constant factor from sheet 0 to sheet m
 SHEET_PHASE = tuple(cmath.exp(1j * math.pi * m / 5) for m in range(SHEET_COUNT))
+
+
+def __getattr__(name):  # the oracle's DEFAULT_RULE, for callers of F_T(xi, rule)
+    if name == "DEFAULT_RULE":
+        from .quadrature import DEFAULT_RULE
+        return DEFAULT_RULE
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SingularFiber(UsageError):
@@ -67,6 +73,19 @@ def f_prime(xi: complex) -> complex:
     """Derivative of f, in product form to avoid cancellation."""
     return (xi ** 7 * (xi - A) ** 2 * (xi - B) ** 8
             * (8 * (xi - A) * (xi - B) + 3 * xi * (xi - B) + 9 * xi * (xi - A)))
+
+
+def clog(z):
+    """Principal log of a scalar (on cmath) or an array (on numpy), with the
+    real axis approached from above: a -0.0 imaginary part, which would give
+    negative reals argument -pi, becomes +0.0 (on arrays by adding 0.0)."""
+    if isinstance(z, (complex, float, int)):
+        z = complex(z)
+        if z.imag == 0.0:
+            z = complex(z.real, 0.0)
+        return cmath.log(z)
+    import numpy as np
+    return np.log(np.asarray(z, dtype=complex) + 0.0)
 
 
 def _check_regular(xi: complex, tol: float = 1e-13) -> complex:
@@ -118,6 +137,7 @@ class SheetedPoint:
 
 def _inv_eta(z: np.ndarray) -> np.ndarray:
     """1/eta_0 on an array of points: the integrand of F_T."""
+    import numpy as np
     return np.exp(-_log_eta0(z)) / BRANCH_PHASE
 
 
@@ -151,9 +171,10 @@ def _path_to(xi: complex) -> list[complex]:
     return [0.0, 1j * max(1.0, abs(xi)), xi]
 
 
-def _F_T_quad(xi: complex, rule: QuadratureRule = DEFAULT_RULE) -> complex:
+def _F_T_quad(xi: complex, rule: QuadratureRule) -> complex:
     """F_T by panel quadrature of its integral from 0.  Prevertices
     themselves are allowed (the integrand exponent there is > -1)."""
+    from .quadrature import contour, panel
     xi = complex(xi)
     if xi.imag < -1e-12:
         raise ValueError("F_T is defined on the closed upper half-plane")
@@ -185,10 +206,14 @@ def _series_tables():
         return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
 
     def rising(c):  # (c)_n / n!
-        return np.append(1.0, np.cumprod((j - 1 + c) / j))
+        return list(accumulate([(j - 1 + c) / j for j in range(1, SERIES_TERMS)], mul, initial=1.0))
 
-    n = np.arange(SERIES_TERMS)
-    j = n[1:]
+    def horner(row, x):  # sum_n row[n] x^n
+        acc = 0j
+        for c in reversed(row):
+            acc = acc * x + c
+        return acc
+
     # Taylor coefficients g_m of s^(P-1) (1-s)^(Q-1) about t0, from
     # s (1-s) g' = [(P-1) - (P+Q-2) s] g
     t0 = T_CENTER
@@ -197,29 +222,29 @@ def _series_tables():
     g.append(ga * g[0] / al)
     for m in range(1, SERIES_TERMS - 2):
         g.append(((ga - be * m) * g[m] + (m + 1 - P - Q) * g[m - 1]) / (al * (m + 1)))
-    rows = np.array([rising(1 - Q) / (P + n),       # in t: B_t(P, Q)
-                     rising(P + Q) / (P + n),       # in t/(t-1): Pfaff
-                     rising(1 - P) / (Q + n),       # in 1-t: B - B_{1-t}(Q, P)
-                     rising(1 - Q) / (P_INF + n),   # in 1/t: B_inf - e^{3 pi i/10} B_{1/t}
-                     np.append(0.0, np.array(g) / j)], dtype=complex)  # in t - t0
+    # x * (1.0 / j) is how numpy divides: the tests' numpy tables agree bit for bit
+    rows = [[r / (P + n) for n, r in enumerate(rising(1 - Q))],      # in t: B_t(P, Q)
+            [r / (P + n) for n, r in enumerate(rising(P + Q))],      # in t/(t-1): Pfaff
+            [r / (Q + n) for n, r in enumerate(rising(1 - P))],      # in 1-t: B - B_{1-t}(Q, P)
+            [r / (P_INF + n) for n, r in enumerate(rising(1 - Q))],  # in 1/t: B_inf - e3 B_{1/t}
+            [0.0] + [gm * (1.0 / j) for j, gm in enumerate(g, 1)]]  # in t - t0
     # the Taylor constant: B_t at 0.75 t0, inside the disc of the t series
     t1 = 0.75 * t0
-    c = t1 ** P * np.polyval(rows[0][::-1], t1) - np.polyval(rows[4][::-1], t1 - t0)
+    c = t1 ** P * horner(rows[0], t1) - horner(rows[4], t1 - t0)
     b, e3 = beta(P, Q), cmath.exp(0.3j * math.pi)
-    consts = (0.0, 0.0, b, b + e3 * beta(P_INF, Q), c)
-    regions = [(A * const / b, sigma, lam, mu) for const, sigma, lam, mu in
+    consts = [A * v / b for v in (0.0, 0.0, b, b + e3 * beta(P_INF, Q))] + [A * c * (1.0 / b)]
+    regions = [[complex(v) for v in region] for region in
                zip(consts, (1, 1, -1, -e3, 1), (P, P, 0, -P_INF, 0), (0, -P, Q, 0, 0))]
-    return rows[:, ::-1] * (A / b), np.array(regions, dtype=complex)
+    return [[complex(v) * (A / b) for v in reversed(row)] for row in rows], regions
 
 
-_COEFFS, _REGION_ROWS = _series_tables()
-#: for arrays: the n-th row holds every region's n-th coefficient
-_HORNER = _COEFFS.T.copy()
-#: the same tables as Python numbers, for the scalar path
-_ROWS, _REGIONS = _COEFFS.tolist(), _REGION_ROWS.tolist()
+_ROWS, _REGIONS = _series_tables()
 #: exact images of the prevertices; that of b is the closed-form corner
 #: a (1 + e^{3 pi i/10} B(1/10, 7/10) / B(1/5, 7/10))
 CORNERS = {0.0: 0j, A: complex(A), B: _REGIONS[3][0]}
+#: the tables as numpy arrays, made by the first array call: _ROWS transposed
+#: (row n holds every region's c_n) and _REGIONS
+_ARRAY_TABLES = None
 
 
 def _series_inputs(x, y):
@@ -247,6 +272,7 @@ def F_T(xi, rule: QuadratureRule | None = None):
     if rule is not None:
         return _F_T_quad(xi, rule)
     if not isinstance(xi, (int, float, complex)):
+        import numpy as np
         xi = np.asarray(xi, dtype=complex)
         return _F_T_array(xi.ravel()).reshape(xi.shape)
     xi = complex(xi)
@@ -265,6 +291,10 @@ def F_T(xi, rule: QuadratureRule | None = None):
 
 
 def _F_T_array(xi: np.ndarray) -> np.ndarray:
+    global _ARRAY_TABLES
+    import numpy as np
+    if _ARRAY_TABLES is None:
+        _ARRAY_TABLES = np.array(_ROWS).T.copy(), np.array(_REGIONS)
     if xi.size == 1:  # numpy's in-place product rounds a lone element apart
         return _F_T_array(np.repeat(xi, 2))[:1]
     if np.any(xi.imag < -1e-12):
@@ -275,11 +305,12 @@ def _F_T_array(xi: np.ndarray) -> np.ndarray:
     t, s_bar, radii, variables = _series_inputs(x, np.where(corner, 1.0, y))
     radii = np.stack(radii)
     r = np.where(radii.min(0) > SWITCH_RADIUS, 4, radii.argmin(0))
-    var, acc = np.choose(r, variables), _HORNER[0][r]  # acc: a fresh array
-    for row in _HORNER[1:]:
+    horner, regions = _ARRAY_TABLES
+    var, acc = np.choose(r, variables), horner[0][r]  # acc: a fresh array
+    for row in horner[1:]:
         acc *= var
         acc += row[r]
-    const, sigma, lam, mu = _REGION_ROWS[r].T
+    const, sigma, lam, mu = regions[r].T
     out = const + sigma * np.exp(lam * clog(t) + mu * clog(s_bar).conjugate()) * acc
     out[corner] = [CORNERS[v] for v in x[corner]]
     return out
@@ -382,6 +413,7 @@ def corner_angle(prevertex: float, delta: float = 1e-4) -> float:
     along the real axis, each integrated from the prevertex itself (path
     additivity), so no difference of two whole images loses digits.
     """
+    from .quadrature import panel
     mu = MU.get(prevertex, 0.0)
     v1 = panel(_inv_eta, prevertex, prevertex - delta, mu0=mu)
     v2 = panel(_inv_eta, prevertex, prevertex + delta, mu0=mu)

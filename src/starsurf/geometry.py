@@ -32,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 EPSILON = cmath.exp(2j * math.pi / 5)  # the rotation R: z -> eps*z
 
 INNER_RADIUS = 2.0 * math.cos(2.0 * math.pi / 5.0)  # a
@@ -226,11 +224,9 @@ class StarLines(NamedTuple):
     line's foot and w its conjugate unit direction, so that Im p > 0 on the
     center's side and tau = Re p runs along it.  rows[k] is (f, w, tau_in,
     tau_out, sides) for edge_lines[k]: |tau| of its inner and outer vertices
-    and the (inner vertex, outer vertex, edge id) at tau < 0 and tau > 0.
-    columns holds f.real, f.imag, w.real, w.imag, tau_in, tau_out by line."""
+    and the (inner vertex, outer vertex, edge id) at tau < 0 and tau > 0."""
 
     rows: tuple[tuple[complex, complex, float, float, tuple], ...]
-    columns: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -245,9 +241,7 @@ def star_lines(star: StarPolygon) -> StarLines:
             sides[tau_in > 0.0] = (v_in, v_out, eid)
         # |tau| as the line's second edge has it; the first's differ by an ulp
         rows.append((f, w, abs(tau_in), abs(tau_out), tuple(sides)))
-    columns = np.array([(f.real, f.imag, w.real, w.imag, t_in, t_out)
-                        for f, w, t_in, t_out, _sides in rows]).T
-    return StarLines(tuple(rows), columns)
+    return StarLines(tuple(rows))
 
 
 def point_location(z: complex, star: StarPolygon, tol: float = TOL_GEO) -> Location:
@@ -279,15 +273,23 @@ KINDS = ("exterior", "interior", "edge", "vertex", "center")
 EXTERIOR, INTERIOR, EDGE, VERTEX, CENTER = range(len(KINDS))
 
 
+@lru_cache(maxsize=None)
+def _line_columns(star: StarPolygon):
+    import numpy as np
+    return np.array([(f.real, f.imag, w.real, w.imag, t_in, t_out)
+                     for f, w, t_in, t_out, _sides in star_lines(star).rows]).T
+
+
 def locate_kinds(zs, star: StarPolygon, tol: float = TOL_GEO) -> tuple[np.ndarray, int]:
     """point_location's kind codes (indices into KINDS) for an array of
     points of any shape, and how many are near the boundary: within tol of
     an edge line or in the square of half-width tol about the center, the
     only points the center, vertex and edge tests can pass.  Products are
     spelled out as CPython forms them, so both forms round alike."""
+    import numpy as np
     shape = np.shape(zs)
     z = np.asarray(zs, dtype=complex).ravel()
-    fx, fy, wx, wy, tau_in, tau_out = star_lines(star).columns[..., None]
+    fx, fy, wx, wy, tau_in, tau_out = _line_columns(star)[..., None]
     dx, dy = z.real - fx, z.imag - fy  # one row per line
     s = dx * wy + dy * wx              # Im p
     kinds = ((s < 0.0).sum(axis=0) <= 1).astype(np.int8)  # INTERIOR or EXTERIOR

@@ -10,12 +10,13 @@ array functions, called once on a panel's whole node array.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .conformal import clog
 
 
 @dataclass(frozen=True)
@@ -35,19 +36,6 @@ DEFAULT_RULE = QuadratureRule()
 
 class QuadratureFailure(RuntimeError):
     """Estimated quadrature error exceeded the rule's target."""
-
-
-def clog(z):
-    """Principal log of a scalar (on cmath) or an array (on numpy), with the
-    real axis approached from above: a -0.0 imaginary part, which would give
-    negative reals argument -pi, becomes +0.0 (on arrays by adding 0.0).
-    """
-    if isinstance(z, np.ndarray):
-        return np.log(np.asarray(z, dtype=complex) + 0.0)
-    z = complex(z)
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)
-    return cmath.log(z)
 
 
 @lru_cache(maxsize=64)

@@ -6,8 +6,6 @@ formatted with fixed precision so identical scenes diff identically.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class Scene:
     def __init__(self, pad: float = 0.15):
@@ -101,6 +99,8 @@ def map_grid_scene(star, n) -> Scene:
     """Image under the triangle map of an upper-half-plane grid: one F_T call
     on all 2 (n^2 - 1) points, sliced into n - 1 vertical then n - 1
     horizontal polylines."""
+    import numpy as np
+
     from .conformal import F_T
     from .geometry import build_triangle
 

@@ -5,9 +5,9 @@ Each check registers under its module and returns a CheckResult; run_verify
 executes the registry (in canonical id order, optionally only one module's
 checks) and wraps the results.  Two checks are expected to fail and say so
 in their notes: the edge-pair orbit sizes (a cyclic group of order 5 cannot
-have orbits of sizes 3 and 2) and fundamental-domain uniqueness (the
-translation group contains golden-ratio contractions, so interior carriers
-are not unique).
+have orbits of sizes 3 and 2) and fundamental-domain uniqueness (R maps the
+star onto itself, so interior carriers come in fives; golden-ratio
+contractions in the translation group add many more).
 """
 
 from __future__ import annotations
@@ -436,10 +436,10 @@ def check_fundamental_domain_existence() -> CheckResult:
 def check_fundamental_domain_uniqueness() -> CheckResult:
     rep = _carrier_search()
     ok = rep["interior_multi"] == 0
-    note = ("the translation group contains golden-ratio contractions "
-            "(tau_0 tau_1 tau_4 shifts by -1/phi), so the word ball carries "
-            "generic points to many distinct interior images; uniqueness "
-            "cannot hold at word length >= 3 (read from 10e's carrier search)")
+    note = ("R maps the star onto itself, so interior carriers come in fives: every "
+            "multiplicity is a multiple of 5 and interior_unique is 0 at any word "
+            "length; golden-ratio contractions (tau_0 tau_1 tau_4 shifts by -1/phi) "
+            "give each rotation many interior images (read from 10e's carrier search)")
     measured = (f"unique {rep['interior_unique']}, multiple "
                 f"{rep['interior_multi']}, max multiplicity "
                 f"{rep['max_multiplicity']}")

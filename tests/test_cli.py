@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import math
 import os
@@ -257,6 +258,71 @@ def test_cli_import_leaves_scipy_out():
     proc = _fresh_python("import starsurf.cli, sys\n"
                          "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     assert proc.returncode == 0, proc.stderr
+
+
+def _scalar_start(out: pathlib.Path) -> str:
+    """Code for a fresh process that makes only scalar calls: the benchmark's
+    set-up, the scalar APIs, and the subcommands that handle no arrays."""
+    return ("import starsurf\n"
+            "from starsurf.conformal import F_T, compute_k\n"
+            "from starsurf.geometry import build_star\n"
+            "build_star(); compute_k(); F_T(1 + 1j)\n"
+            "from starsurf import (F_Q_inv, SheetedPoint, develop, edge_pairing, flow,\n"
+            "                      point_location, simulate)\n"
+            "develop(simulate(0.1 + 0.05j, 1j, 40))\n"
+            "flow(SheetedPoint(0.8 + 0.7j, 3), 0.05)\n"
+            "F_Q_inv(0.3 + 0.1j); point_location(0.2j, build_star()); edge_pairing(build_star())\n"
+            "from starsurf.cli import main\n"
+            "main(['billiard', '--z0', '0.05,0.13', '--theta', '0.53', '--lift',\n"
+            f"      '--svg', {str(out / 'b.svg')!r}, '--json', {str(out / 'b.json')!r}])\n"
+            f"main(['flow', '--xi', '1.1,0.9', '--t', '0.1', '--json', {str(out / 'f.json')!r}])\n"
+            f"main(['map', 'eval', '--xi', '0.3,0.4', '--json', {str(out / 'm.json')!r}])\n")
+
+
+def test_scalar_calls_leave_numpy_out(tmp_path):
+    proc = _fresh_python(_scalar_start(tmp_path)
+                         + "import sys\nassert 'numpy' not in sys.modules, 'numpy imported'\n")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "b.svg").read_text().startswith("<svg")
+
+
+def test_array_calls_after_a_scalar_start(tmp_path):
+    proc = _fresh_python(
+        _scalar_start(tmp_path)
+        + "import numpy as np\n"
+          "from starsurf.geometry import KINDS, locate_kinds\n"
+          "kinds, _near = locate_kinds(np.array([0.1j, 3.0]), build_star())\n"
+          "assert [KINDS[k] for k in kinds] == ['interior', 'exterior'], kinds\n"
+          "assert abs(F_T(np.array([1 + 1j, 0.5j]))[0] - F_T(1 + 1j)) <= 1e-15\n"
+          "from starsurf import monodromy\n"
+          "assert list(monodromy('a').images) == [(k + 3) % 10 for k in range(10)]\n"
+          "from starsurf.verify import run_verify\n"
+          "assert run_verify(module='covering_surface').all_passed\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_resolve_lazily():
+    for name in starsurf.__all__:
+        value = getattr(starsurf, name)
+        home = importlib.import_module(f"starsurf.{starsurf._MODULE_OF[name]}")
+        assert getattr(home, name) is value, name
+        # a function or class is exported from the module that defines it
+        assert getattr(value, "__module__", home.__name__) in (home.__name__, "builtins"), name
+    namespace = {}
+    exec("from starsurf import *", namespace)
+    assert set(starsurf.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        starsurf.no_such_name  # noqa: B018
+
+
+def test_cli_pins_blas_threads_unless_set(monkeypatch, capsys):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "3")  # so that the test leaves each as it found it
+    monkeypatch.delenv("MKL_NUM_THREADS")
+    code, _ = run(capsys, "map", "eval", "--xi", "0.3,0.4")
+    assert code == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "3"
+    assert os.environ["MKL_NUM_THREADS"] == "1"
 
 
 def test_map_calls_build_no_quadrature_tables():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starsurf.conformal import (BRANCH_PHASE, CORNERS, KITE_CORNERS, MU, T_CENTER, F_Kstar,
-                                F_Q, F_Q_inv, F_T, LeftDomain, SheetedPoint, SingularFiber,
-                                _inv_eta, compute_k, corner_angle, eta, eta_ref, f, f_prime)
+from starsurf.conformal import (BRANCH_PHASE, CORNERS, KITE_CORNERS, MU, P, P_INF, Q,
+                                SERIES_TERMS, T_CENTER, F_Kstar, F_Q, F_Q_inv, F_T, LeftDomain,
+                                SheetedPoint, SingularFiber, _inv_eta, _series_tables,
+                                compute_k, corner_angle, eta, eta_ref, f, f_prime)
+from starsurf import conformal
 from starsurf.geometry import EPSILON, INNER_RADIUS, OUTER_RADIUS, build_triangle
 from starsurf.quadrature import QuadratureRule, _jacobi_nodes, _panel_gj, clog, contour, panel
 
@@ -347,6 +349,49 @@ def test_F_T_at_the_prevertices_is_exact():
     assert F_T(0.0) == 0 and F_T(A) == A
     assert abs(F_T(B) - B * cmath.exp(1j * math.pi / 5)) <= 1e-15
     assert F_T(np.array([0.0, A, B])).tolist() == [F_T(0.0), F_T(A), F_T(B)]
+
+
+def _series_tables_numpy():
+    """The series tables built with numpy arrays, as the library first built
+    them: the oracle of its pure-Python _series_tables."""
+    def beta(p, q):
+        return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+
+    def rising(c):  # (c)_n / n!
+        return np.append(1.0, np.cumprod((j - 1 + c) / j))
+
+    n = np.arange(SERIES_TERMS)
+    j = n[1:]
+    t0 = T_CENTER
+    al, be, ga = t0 * (1 - t0), 1 - 2 * t0, (P - 1) - (P + Q - 2) * t0
+    g = [t0 ** (P - 1) * (1 - t0) ** (Q - 1)]
+    g.append(ga * g[0] / al)
+    for m in range(1, SERIES_TERMS - 2):
+        g.append(((ga - be * m) * g[m] + (m + 1 - P - Q) * g[m - 1]) / (al * (m + 1)))
+    rows = np.array([rising(1 - Q) / (P + n), rising(P + Q) / (P + n),
+                     rising(1 - P) / (Q + n), rising(1 - Q) / (P_INF + n),
+                     np.append(0.0, np.array(g) / j)], dtype=complex)
+    t1 = 0.75 * t0
+    c = t1 ** P * np.polyval(rows[0][::-1], t1) - np.polyval(rows[4][::-1], t1 - t0)
+    b, e3 = beta(P, Q), cmath.exp(0.3j * math.pi)
+    consts = (0.0, 0.0, b, b + e3 * beta(P_INF, Q), c)
+    regions = [(A * const / b, sigma, lam, mu) for const, sigma, lam, mu in
+               zip(consts, (1, 1, -1, -e3, 1), (P, P, 0, -P_INF, 0), (0, -P, Q, 0, 0))]
+    return rows[:, ::-1] * (A / b), np.array(regions, dtype=complex)
+
+
+def test_series_tables_equal_their_numpy_construction_bit_for_bit():
+    # numpy divides a complex by a real as a product with the reciprocal; a
+    # plain quotient misses 55 Taylor coefficients and a constant by an ulp
+    coeffs, regions = _series_tables_numpy()
+    rows, region_rows = _series_tables()
+    assert np.array(rows, dtype=complex).tobytes() == coeffs.tobytes()
+    assert np.array(region_rows, dtype=complex).tobytes() == regions.tobytes()
+    assert all(type(v) is complex for row in rows + region_rows for v in row)
+    F_T(np.array([1j, 2j]))  # the first array call makes the array tables
+    horner, array_regions = conformal._ARRAY_TABLES
+    assert horner.tobytes() == coeffs.T.copy().tobytes()
+    assert array_regions.tobytes() == regions.tobytes()
 
 
 def test_closed_form_matches_mpmath_betainc():
