@@ -9,9 +9,9 @@ demo shows both the clean desk-scale checks and that non-uniqueness.
 
 import os
 
-from starsurf.geometry import build_star, point_location
+from starsurf.geometry import apothem, build_star, point_location
 from starsurf.svgout import patch_scene
-from starsurf.tiling import (apothem, coverage_check, fundamental_domain_check,
+from starsurf.tiling import (coverage_check, fundamental_domain_check,
                              generate_patch, invariance_freeness_checks,
                              multiply, tau)
 

@@ -9,7 +9,7 @@ import importlib
 
 _EXPORTS = {
     "geometry": "EPSILON INNER_RADIUS OUTER_RADIUS SIDE_C TOL_GEO PoleError ProjectivePoint "
-                "StarPolygon Triangle build_star build_triangle icosahedron_vertices "
+                "StarPolygon Triangle apothem build_star build_triangle icosahedron_vertices "
                 "point_location stereographic_project",
     "quadrature": "DEFAULT_RULE QuadratureFailure QuadratureRule",
     "conformal": "F_Kstar F_Q F_Q_inv F_T SheetedPoint SingularFiber compute_k eta f",
@@ -18,7 +18,7 @@ _EXPORTS = {
     "metric": "Gamma TangentVector delta delta_star flow gamma unit_field",
     "billiards": "Trajectory develop lift_trajectory simulate",
     "quotient": "edge_pairing quotient_euler_genus triangulate",
-    "tiling": "MotionGroupElement apothem generate_patch multiply tau",
+    "tiling": "MotionGroupElement generate_patch multiply tau",
     "verify": "run_verify",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

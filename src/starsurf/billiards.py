@@ -13,6 +13,10 @@ current position (within ON_LINE) is not crossed again, but any other
 line is, however close: near an outer tip, where the two edges meet at
 pi/5, a ray bounces between them at any scale.
 
+Directions: edge mirrors are zeta^m conj, zeta = e^{i pi/5}, so simulate
+codes its direction as c = 2j + l for zeta^j conj^l(d0), and builds each
+of the (at most 20) codes' values and event rows once.
+
 Lifting: each reflection event is tagged with the chord-pairing reflection
 T_m that identifies the hit edge with its partner, plus a running sector
 index.  The straightness check composes the reflections in the hit edge
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .config import UsageError
@@ -91,14 +95,20 @@ def reflect_dir(direction: complex, edge_id: int, star: StarPolygon) -> complex:
     return _event_table(star, TOL_GEO)[1][edge_id][0] * direction.conjugate()
 
 
+#: Edge e's mirror has u^2 = zeta^m_e (line k, normal e^{i pi (2k+1)/5}, has
+#: edges 2k - 1 and 2k + 2 and m = 4k + 7), so a reflection in e maps (j, l)
+#: to (m_e - j, 1 - l), the code c to _FLIPS[e] - c mod 20 with _FLIPS[e] =
+#: 2 m_e + 1; a reversal maps j to j + 5, so c to c + 10.
+_FLIPS = tuple(2 * ((2 * e + (9 if e % 2 else 3)) % 10) + 1 for e in range(10))
+
+
 @lru_cache(maxsize=None)
-def _event_table(star: StarPolygon, tol: float) -> tuple[tuple, tuple]:
+def _event_table(star: StarPolygon, tol: float) -> tuple[tuple, tuple, tuple]:
     """star_lines with the bounds of an event, and mirrors.  Per line: (f, w,
-    tau_in -/+ tol, tau_out -/+ tol, sides, stops), sides the (inner vertex,
-    outer vertex, edge id, w of the outer vertex's other line) at tau < 0
-    and tau > 0, stops the (tau, vertex) of its four vertices.  Per edge:
-    (u^2, shift) of the reflection in its line, u^2 conj z + shift, u =
-    conj w."""
+    tau_in -/+ tol, tau_out -/+ tol, tips, stops), tips the (w of the outer
+    vertex's other line, side if a hit there reflects, side if it reverses)
+    at tau < 0 and tau > 0, stops the (tau, vertex) of its four vertices.
+    Per edge: u^2 conj z + shift, u = conj w, as (u^2, shift); conjugated."""
     rows = star_lines(star).rows
     lines, mirrors = [], [None] * len(star.edges)
     for f, w, t_in, t_out, sides in rows:
@@ -109,40 +119,55 @@ def _event_table(star: StarPolygon, tol: float) -> tuple[tuple, tuple]:
             mirrors[eid] = (u * u, f - u * u * f.conjugate())
             other = next(row[1] for row in rows if row[1] != w
                          and any(side[1] == v_out for side in row[4]))
-            tips.append((v_in, v_out, eid, other))
+            tips.append((other, (eid, v_in, "reflect", eid), (eid, v_in, "reverse", v_out)))
         lines.append((f, w, t_in - tol, t_in + tol, t_out - tol, t_out + tol,
                       tuple(tips), tuple(stops)))
-    return tuple(lines), tuple(mirrors)
+    return (tuple(lines), tuple(mirrors),
+            tuple((m.conjugate(), c.conjugate()) for m, c in mirrors))
 
 
-def _event(z: complex, d: complex, lines: tuple, vertices: tuple[complex, ...],
-           tol: float) -> tuple[str, int, complex, float]:
-    """next_event on the lines of _event_table."""
-    best, kind = math.inf, None
-    for f, w, in_lo, in_hi, out_lo, out_hi, sides, stops in lines:
+def _direction_rows(d: complex, lines: tuple) -> tuple[complex, tuple, tuple]:
+    """What _event reads for direction d: (d, out, slide), out the (f, w,
+    -Im(dw), Re(dw), tau bounds, the tips' sides picked for d) of each line d
+    crosses outward, slide the (f, w, Re(dw), stops) of each it runs along."""
+    out, slide = [], []
+    for f, w, in_lo, in_hi, out_lo, out_hi, tips, stops in lines:
         dw = d * w
         if dw.imag < -1e-14:  # only an outward crossing leaves the star
-            zw = (z - f) * w
-            t = -zw.imag / dw.imag
-            if zw.imag > ON_LINE and t < best:
-                tau = zw.real + t * dw.real
-                a, side = abs(tau), sides[tau > 0.0]  # (inner, outer, edge, w)
-                if in_hi < a < out_lo:
-                    best, kind, idx = t, "reflect", side[2]
-                elif in_lo <= a <= in_hi:
-                    best, kind, idx = t, "reverse", side[0]
-                elif out_lo <= a <= out_hi:
-                    if (d * side[3]).imag < 1e-14:  # into the tip: -d runs back
-                        best, kind, idx = t, "reverse", side[1]
-                    else:
-                        best, kind, idx = t, "reflect", side[2]
+            (o0, reflect0, reverse0), (o1, reflect1, reverse1) = tips
+            sides = (reverse0 if (d * o0).imag < 1e-14 else reflect0,
+                     reverse1 if (d * o1).imag < 1e-14 else reflect1)
+            out.append((f, w, -dw.imag, dw.real, in_lo, in_hi, out_lo, out_hi, sides))
         elif dw.imag < 1e-14:
-            zw = (z - f) * w
-            if -tol < zw.imag < tol:  # sliding along the line
-                for tau, vid in stops:
-                    s = (tau - zw.real) * dw.real
-                    if tol < s < best:
-                        best, kind, idx = s, "reverse", vid
+            slide.append((f, w, dw.real, stops))
+    return d, tuple(out), tuple(slide)
+
+
+def _event(z: complex, rows: tuple, vertices: tuple[complex, ...],
+           tol: float) -> tuple[str, int, complex, float]:
+    """next_event on the rows of _direction_rows."""
+    d, out, slide = rows
+    best, kind = math.inf, None
+    for f, w, v, r, in_lo, in_hi, out_lo, out_hi, sides in out:
+        zw = (z - f) * w
+        if zw.imag > ON_LINE:
+            t = zw.imag / v
+            if t < best:
+                tau = zw.real + t * r
+                a, side = abs(tau), sides[tau > 0.0]
+                if in_hi < a < out_lo:
+                    best, kind, idx = t, "reflect", side[0]
+                elif in_lo <= a <= in_hi:
+                    best, kind, idx = t, "reverse", side[1]
+                elif out_lo <= a <= out_hi:
+                    best, kind, idx = t, side[2], side[3]
+    for f, w, r, stops in slide:
+        zw = (z - f) * w
+        if -tol < zw.imag < tol:  # sliding along the line
+            for tau, vid in stops:
+                s = (tau - zw.real) * r
+                if tol < s < best:
+                    best, kind, idx = s, "reverse", vid
     if kind is None:
         raise DegenerateRay(f"no boundary hit from {z} along {d}")
     if kind == "reflect":
@@ -156,7 +181,8 @@ def next_event(state: BilliardState, star: StarPolygon,
     """Earliest boundary hit of the ray: ('reflect', edge id, point, dt), or
     ('reverse', vertex id, vertex, dt) for a hit within tol of a vertex
     (of an outer tip, only by a ray heading out across its other line too)."""
-    return _event(state.pos, state.dir, _event_table(star, tol)[0], star.vertices, tol)
+    rows = _direction_rows(state.dir, _event_table(star, tol)[0])
+    return _event(state.pos, rows, star.vertices, tol)
 
 
 def simulate(z0: complex, direction: complex, max_events: int,
@@ -175,23 +201,28 @@ def simulate(z0: complex, direction: complex, max_events: int,
     if loc.kind == "exterior":
         raise UsageError(f"start {z0} lies outside the star")
     pair_m = edge_pairing(star).reflection_of_edge
-    lines, mirrors = _event_table(star, tol)
+    lines, mirrors = _event_table(star, tol)[:2]
+    vertices = star.vertices
 
-    z, d, t0 = z0, direction, 0.0
+    z, c, t0, rows = z0, 0, 0.0, _direction_rows(direction, lines)
+    rows_of = [rows] + [None] * 19  # by direction code
     segments, events = [], []
     for _ in range(max_events):
-        kind, idx, point, dt = _event(z, d, lines, star.vertices, tol)
+        kind, idx, point, dt = _event(z, rows, vertices, tol)
         t1 = t0 + dt
-        segments.append(Segment(z, point, d, t0, t1))
+        segments.append((z, point, rows[0], t0, t1))
         if kind == "reflect":
-            d = mirrors[idx][0] * d.conjugate()
-            events.append(Event("reflect", point, t1, edge=idx,
-                                pairing_m=pair_m[idx]))
+            c = (_FLIPS[idx] - c) % 20
+            events.append((kind, point, t1, idx, None, pair_m[idx], None))
         else:
-            d = -d
-            events.append(Event("reverse", point, t1, vertex=idx))
-        z, t0 = point, t1
-    return Trajectory(tuple(segments), tuple(events))
+            c = (c + 10) % 20
+            events.append((kind, point, t1, None, idx, None, None))
+        if rows_of[c] is None:  # c's value: the mirror of the direction before
+            d = mirrors[idx][0] * rows[0].conjugate() if kind == "reflect" else -rows[0]
+            rows_of[c] = _direction_rows(d, lines)
+        z, t0, rows = point, t1, rows_of[c]
+    return Trajectory(tuple(map(partial(tuple.__new__, Segment), segments)),
+                      tuple(map(partial(tuple.__new__, Event), events)))
 
 
 def lift_trajectory(traj: Trajectory, tol: float = TOL_GEO) -> Trajectory:
@@ -228,18 +259,16 @@ def develop(traj: Trajectory, star: StarPolygon | None = None):
         return [], 0.0
     if star is None:
         star = build_star()
-    mirrors = _event_table(star, TOL_GEO)[1]
+    tables = _event_table(star, TOL_GEO)[1:]  # the mirrors, and conjugated
     # the unfolding so far: z -> mul * (conj z if conj else z) + shift
-    mul, conj, shift = 1.0 + 0.0j, False, 0.0j
+    mul, conj, shift = 1.0 + 0.0j, 0, 0.0j
     pieces: list[list[complex]] = [[traj.segments[0].start]]
     for seg, ev in zip(traj.segments, traj.events):
         end = mul * (seg.end.conjugate() if conj else seg.end) + shift
         pieces[-1].append(end)
         if ev.kind == "reflect":
-            m, c = mirrors[ev.edge]
-            if conj:
-                m, c = m.conjugate(), c.conjugate()
-            mul, shift, conj = mul * m, mul * c + shift, not conj
+            m, c = tables[conj][ev.edge]
+            mul, shift, conj = mul * m, mul * c + shift, 1 - conj
         else:
             pieces.append([end])
 
@@ -247,8 +276,7 @@ def develop(traj: Trajectory, star: StarPolygon | None = None):
     for chain in pieces:
         if len(chain) < 3:
             continue
-        u = chain[-1] - chain[0]
+        u = (chain[-1] - chain[0]).conjugate()
         u /= abs(u)
-        for z in chain[1:-1]:
-            residual = max(residual, abs(((z - chain[0]) / u).imag))
+        residual = max([residual] + [abs(((z - chain[0]) * u).imag) for z in chain[1:-1]])
     return pieces, residual

@@ -19,7 +19,7 @@ from . import quotient as qt
 from . import svgout
 from .config import UsageError, load_settings
 from .conformal import SHEET_COUNT, F_T, SheetedPoint, compute_k, eta
-from .geometry import build_star
+from .geometry import apothem, build_star
 
 
 def _cpx(value: str) -> complex:
@@ -55,7 +55,6 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_star(args) -> int:
-    from . import tiling as tl  # the array modules load only where used
     star = build_star()
     payload = {
         "center": _c2l(star.center),
@@ -63,7 +62,7 @@ def cmd_star(args) -> int:
         "edges": [list(e) for e in star.edges],
         "lines": [{"foot": _c2l(l.foot), "direction": _c2l(l.direction),
                    "edges": list(l.edge_ids)} for l in star.edge_lines],
-        "apothem": tl.apothem(star),
+        "apothem": apothem(star),
     }
     _emit(payload, args)
     if args.svg:

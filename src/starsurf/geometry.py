@@ -244,6 +244,15 @@ def star_lines(star: StarPolygon) -> StarLines:
     return StarLines(tuple(rows))
 
 
+def apothem(star: StarPolygon | None = None, tol: float = 1e-12) -> float:
+    """Distance from the center to the star's edge lines; all five agree."""
+    star = build_star() if star is None else star
+    dists = [abs(((star.center - f) * w).imag) for f, w, *_ in star_lines(star).rows]
+    if max(dists) - min(dists) > tol:
+        raise ValueError(f"edge-line distances disagree: {dists}")
+    return sum(dists) / len(dists)
+
+
 def point_location(z: complex, star: StarPolygon, tol: float = TOL_GEO) -> Location:
     """The center, a vertex, an edge (the lowest edge id within tol of z) or
     else interior or exterior by the count of lines z lies outside."""

@@ -52,17 +52,6 @@ class CheckFailure(AssertionError):
     """A sampled structural check found a counterexample."""
 
 
-def apothem(star: StarPolygon | None = None, tol: float = 1e-12) -> float:
-    """Distance from the center to the star's edge lines; all five agree."""
-    if star is None:
-        star = build_star()
-    dists = [line.distance(star.center) for line in star.edge_lines]
-    lo, hi = min(dists), max(dists)
-    if hi - lo > tol:
-        raise CheckFailure(f"edge-line distances disagree: {dists}")
-    return sum(dists) / len(dists)
-
-
 @dataclass(frozen=True)
 class MotionGroupElement:
     """(R^j U^ell, word): z -> eps^j * (conj z if ell else z) + t, where t is

@@ -26,7 +26,7 @@ from . import metric as mt
 from . import quotient as qt
 from . import tiling as tl
 from .conformal import MU, PREVERTICES, F_T, SheetedPoint, compute_k, corner_angle
-from .geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, build_star,
+from .geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, apothem, build_star,
                        build_triangle, point_location)
 from .quadrature import QuadratureRule, panel
 
@@ -359,7 +359,7 @@ def check_cone_angles() -> CheckResult:
 
 @_check("affine_tiling")
 def check_apothem() -> CheckResult:
-    val = tl.apothem()
+    val = apothem()
     res = abs(val - 0.5)
     shift = abs(tl.tau(0)(0) - 1.0)
     return _result("10a-apothem", "apothem is exactly 1/2; |2 u_k| = 1",

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from starsurf.billiards import (ON_LINE, BilliardState, CenterCrossing, _event_table,
-                                DegenerateRay, develop, lift_trajectory,
+from starsurf.billiards import (_FLIPS, ON_LINE, BilliardState, CenterCrossing,
+                                _event_table, DegenerateRay, develop, lift_trajectory,
                                 next_event, reflect_dir, simulate)
 from starsurf.config import UsageError
 from starsurf.geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, TOL_GEO,
@@ -76,15 +76,33 @@ def ten_edge_event(state, star=STAR, tol=TOL_GEO):
     return kind, idx, point, s
 
 
+def _orbit(d0):
+    """The directions a billiard from d0 can take, zeta^j conj^l(d0)."""
+    return [cmath.exp(1j * math.pi * j / 5) * (d0.conjugate() if ell else d0)
+            for j in range(10) for ell in (0, 1)]
+
+
 def ten_edge_simulate(z0, d, max_events, star=STAR):
-    """(kind, edge or vertex, position) of each event, found by the scan."""
-    state, out = BilliardState(z0, d), []
+    """(kind, edge or vertex, position) of each event, found by the scan.
+    After each event the mirrored direction is snapped to the nearest of
+    _orbit(d): re-reflected floats drift (1.6e-14 in 1,000 events), and the
+    drift moves the positions of long runs by over 1e-11."""
+    state, out, orbit = BilliardState(z0, d), [], _orbit(d)
     for _ in range(max_events):
         kind, idx, point, dt = ten_edge_event(state, star)
         out.append((kind, idx, point))
         d = reflect_dir(state.dir, idx, star) if kind == "reflect" else -state.dir
+        d = min(orbit, key=lambda r: abs(r - d))
         state = BilliardState(point, d, state.time + dt)
     return out
+
+
+def _matches_the_scan(traj, z0, d, tol):
+    """traj has the scan's event kinds and ids, and its positions within tol."""
+    oracle = ten_edge_simulate(z0, d, len(traj.events))
+    assert ([(e.kind, e.edge if e.kind == "reflect" else e.vertex) for e in traj.events]
+            == [(kind, idx) for kind, idx, _ in oracle])
+    assert max(abs(e.position - p) for e, (_, _, p) in zip(traj.events, oracle)) <= tol
 
 
 def _same_event(state):
@@ -175,6 +193,9 @@ def test_edge_mirrors_have_the_closed_form():
             assert abs(u2 + n * n) < 1e-15 and abs(shift - n) < 1e-15
             assert abs(u2 ** 5 + 1) < 1e-14
             assert min(abs(u2 - EPSILON ** j) for j in range(5)) > 0.6
+            # the exponent simulate's direction codes read from the edge id
+            m = _FLIPS[eid] // 2
+            assert m % 2 == 1 and abs(u2 - cmath.exp(1j * math.pi * m / 5)) <= 1e-15
 
 
 def test_simulate_normal_incidence_retraces():
@@ -289,6 +310,7 @@ def test_lift_reversal_sector_unchanged():
     d = (target - z0) / abs(target - z0)
     traj = simulate(z0, d, 2)
     assert traj.events[0].kind == "reverse"
+    assert traj.segments[1].dir == -traj.segments[0].dir
     lifted = lift_trajectory(traj)
     assert lifted.events[0].pairing_m is None
     # sector after a reversal equals the sector before it
@@ -357,11 +379,36 @@ def test_simulate_matches_the_ten_edge_scan(seed):
     for _ in range(224):
         z0 = rng.uniform(0.05, 0.55) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         d = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        traj = simulate(z0, d, 100)
-        oracle = ten_edge_simulate(z0, d, 100)
-        assert ([(e.kind, e.edge if e.kind == "reflect" else e.vertex) for e in traj.events]
-                == [(kind, idx) for kind, idx, _ in oracle])
-        assert max(abs(e.position - p) for e, (_, _, p) in zip(traj.events, oracle)) <= 1e-10
+        _matches_the_scan(simulate(z0, d, 100), z0, d, 1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, None])
+def test_long_runs_match_the_ten_edge_scan(seed):
+    # 1,000 events from a seeded start, or (None) from a ray aimed at vertex 2
+    if seed is None:
+        z0 = 0.3 + 0.05j
+        d = (STAR.vertices[2] - z0) / abs(STAR.vertices[2] - z0)
+    else:
+        rng = random.Random(seed)
+        z0 = rng.uniform(0.05, 0.55) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        d = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    traj = simulate(z0, d, 1000)
+    _matches_the_scan(traj, z0, d, 1e-11)
+    assert (seed is None) == any(e.kind == "reverse" for e in traj.events)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 8])
+def test_directions_stay_on_the_exact_orbit(seed):
+    # an edge mirror is zeta^m conj, so a run only ever moves in the 20
+    # directions zeta^j conj^l(d0); simulate makes each one once
+    rng = random.Random(seed)
+    z0 = rng.uniform(0.05, 0.55) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    d0 = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    dirs = {seg.dir for seg in simulate(z0, d0, 5000).segments}
+    assert len(dirs) <= 20
+    for d in dirs:
+        assert min(abs(d - r) for r in _orbit(d0)) <= 1e-15
+        assert abs(abs(d) - 1) <= 1e-15
 
 
 @pytest.mark.parametrize("vid", range(10))
@@ -399,11 +446,7 @@ def test_rays_into_the_outer_tips_stay_in_the_star(r):
                     for f in (0.25, 0.5, 0.75):
                         z = seg.start + f * (seg.end - seg.start)
                         assert point_location(z, STAR).kind != "exterior"
-                oracle = ten_edge_simulate(z0, d, 12)
-                assert ([(e.kind, e.edge if e.kind == "reflect" else e.vertex)
-                         for e in traj.events] == [(kind, idx) for kind, idx, _ in oracle])
-                assert max(abs(e.position - p)
-                           for e, (_, _, p) in zip(traj.events, oracle)) <= 1e-10
+                _matches_the_scan(traj, z0, d, 1e-10)
 
 
 @pytest.mark.parametrize("eid", range(10))

@@ -273,6 +273,7 @@ def _scalar_start(out: pathlib.Path) -> str:
             "flow(SheetedPoint(0.8 + 0.7j, 3), 0.05)\n"
             "F_Q_inv(0.3 + 0.1j); point_location(0.2j, build_star()); edge_pairing(build_star())\n"
             "from starsurf.cli import main\n"
+            f"main(['star', '--json', {str(out / 's.json')!r}])\n"
             "main(['billiard', '--z0', '0.05,0.13', '--theta', '0.53', '--lift',\n"
             f"      '--svg', {str(out / 'b.svg')!r}, '--json', {str(out / 'b.json')!r}])\n"
             f"main(['flow', '--xi', '1.1,0.9', '--t', '0.1', '--json', {str(out / 'f.json')!r}])\n"

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsurf.geometry import (CENTER, EPSILON, EXTERIOR, INNER_RADIUS, INTERIOR,
-                               build_star, locate_kinds, point_location)
+                               apothem, build_star, locate_kinds, point_location)
 from starsurf.quotient import edge_pairing, reflect_vertex
 from starsurf.tiling import (BASE_WORDS, REJECT_RADIUS, CheckFailure,
                              MotionGroupElement, _draw_elements,
                              _fixed_set_distances, _key, _lattice_words,
                              _samples, _translation_values, _word_act,
                              _word_conjugate, _word_rotate, _word_value,
-                             apothem, copies_containing, coverage_check,
+                             copies_containing, coverage_check,
                              fundamental_domain_check, generate_patch,
                              invariance_freeness_checks, multiply, reflection,
                              tau)
