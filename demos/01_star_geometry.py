@@ -46,10 +46,10 @@ for line in star.edge_lines:
 
 # the projected icosahedron vertices are the star's vertex set plus O
 for z in images:
-    loc = point_location(z, star)
+    loc = point_location(z)
     assert loc.kind in ("vertex", "center"), (z, loc)
 print("\nevery projected vertex is a star vertex (or its center)")
 
 os.makedirs("demos/output", exist_ok=True)
-star_scene(star).write("demos/output/star.svg")
+star_scene().write("demos/output/star.svg")
 print("wrote demos/output/star.svg")

@@ -9,10 +9,8 @@ import cmath
 import os
 
 from starsurf.billiards import develop, lift_trajectory, simulate
-from starsurf.geometry import INNER_RADIUS, build_star
+from starsurf.geometry import INNER_RADIUS
 from starsurf.svgout import trajectory_scene
-
-star = build_star()
 
 # a launch along the real axis runs into the inner vertex A and reverses
 traj = simulate(0.1 + 0j, 1.0, 2)
@@ -25,7 +23,7 @@ traj = simulate(0.05 + 0.13j, cmath.exp(0.53j), 14)
 kinds = [e.kind for e in traj.events]
 print(f"\ngeneric launch: {len(traj.segments)} segments, "
       f"events {dict((k, kinds.count(k)) for k in set(kinds))}")
-pieces, residual = develop(traj, star)
+pieces, residual = develop(traj)
 print(f"unfolded straightness residual: {residual:.2e} "
       f"over {len(pieces)} straight piece(s)")
 
@@ -40,5 +38,5 @@ print(f"\nspeed check: path length {total:.9f} = elapsed time "
       f"{traj.total_time:.9f}")
 
 os.makedirs("demos/output", exist_ok=True)
-trajectory_scene(star, traj).write("demos/output/billiard.svg")
+trajectory_scene(traj).write("demos/output/billiard.svg")
 print("wrote demos/output/billiard.svg")

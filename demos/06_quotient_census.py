@@ -10,18 +10,15 @@ independently of the branched-cover computation.
 
 import math
 
-from starsurf.geometry import build_star
 from starsurf.quotient import (edge_pairing, quotient_euler_genus, reflect_edge,
                                reflect_vertex, triangulate)
-
-star = build_star()
 
 print("the five reflections T_m: z -> eps^(2m+1) conj(z) on vertex ids:")
 for m in range(5):
     print(f"  T_{m}: v -> {2 + 4 * m} - v (mod 10), axis at "
           f"{36 * (2 * m + 1)} degrees: {[reflect_vertex(m, v) for v in range(10)]}")
 
-pairing = edge_pairing(star)
+pairing = edge_pairing()
 print("\nboundary edge pairs (edge ids) and their identifying reflection:")
 for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
     print(f"  edges {e0} <-> {e1}   via T_{m}: e -> {1 + 4 * m} - e, "
@@ -31,7 +28,7 @@ print(f"unordered pair orbits under rotation: sizes "
 print(f"ordered pair orbits: {pairing.ordered_orbit_count} of sizes "
       f"{sorted(len(o) for o in pairing.ordered_orbits)}")
 
-census = triangulate(star)
+census = triangulate()
 print(f"\ntriangulation: {len(census.faces)} faces, {len(census.edges)} edges, "
       f"{len(census.vertices)} vertices")
 print(f"face orbits: {[len(o) for o in census.face_orbits]}, "

@@ -9,7 +9,7 @@ demo shows both the clean desk-scale checks and that non-uniqueness.
 
 import os
 
-from starsurf.geometry import apothem, build_star, point_location
+from starsurf.geometry import apothem, point_location
 from starsurf.svgout import patch_scene
 from starsurf.tiling import (coverage_check, fundamental_domain_check,
                              generate_patch, invariance_freeness_checks,
@@ -46,8 +46,8 @@ print("  (the golden contraction above is why: the group is not discrete)")
 z = 1.2 + 0.1j
 back = tau(0).inverse()(z)
 print(f"\ncarrier witness: tau_0^(-1)({z}) = {back:.4f} is "
-      f"{point_location(back, build_star()).kind} in the star")
+      f"{point_location(back).kind} in the star")
 
 os.makedirs("demos/output", exist_ok=True)
-patch_scene(build_star(), generate_patch(2)).write("demos/output/patch.svg")
+patch_scene(generate_patch(2)).write("demos/output/patch.svg")
 print("wrote demos/output/patch.svg")

@@ -6,9 +6,9 @@ the interior of an edge and reverses (dir -> -dir) when it meets a vertex.
 Events read the star's five edge lines from geometry.star_lines, the
 table point location reads: the event is the earliest outward crossing of
 a line that lies on one of the line's two edges, captured by a vertex
-within tol of it (at an outer tip, only a ray heading out across, or along,
-both of the tip's lines, so that the reversed ray runs back into it); a ray
-sliding along a line stops at the first vertex ahead.  A line through the
+within TOL_GEO of it (at an outer tip, only a ray heading out across, or
+along, both of its lines, so that the reversed ray runs back into it); a
+ray sliding along a line stops at the first vertex ahead.  A line through the
 current position (within ON_LINE) is not crossed again, but any other
 line is, however close: near an outer tip, where the two edges meet at
 pi/5, a ray bounces between them at any scale.
@@ -26,13 +26,14 @@ flip direction, and start a new straight piece.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .config import UsageError
-from .geometry import StarPolygon, TOL_GEO, build_star, point_location, star_lines
+from .geometry import TOL_GEO, build_star, point_location, star_lines
 from .quotient import edge_pairing
 
 
@@ -89,10 +90,10 @@ class Trajectory:
         return self.segments[-1].t_end if self.segments else 0.0
 
 
-def reflect_dir(direction: complex, edge_id: int, star: StarPolygon) -> complex:
+def reflect_dir(direction: complex, edge_id: int) -> complex:
     """Mirror the direction across the edge's line: d -> u^2 conj(d), with
     the u^2 that simulate and develop reflect with."""
-    return _event_table(star, TOL_GEO)[1][edge_id][0] * direction.conjugate()
+    return _event_table()[1][edge_id][0] * direction.conjugate()
 
 
 #: Edge e's mirror has u^2 = zeta^m_e (line k, normal e^{i pi (2k+1)/5}, has
@@ -102,15 +103,15 @@ def reflect_dir(direction: complex, edge_id: int, star: StarPolygon) -> complex:
 _FLIPS = tuple(2 * ((2 * e + (9 if e % 2 else 3)) % 10) + 1 for e in range(10))
 
 
-@lru_cache(maxsize=None)
-def _event_table(star: StarPolygon, tol: float) -> tuple[tuple, tuple, tuple]:
+@lru_cache(maxsize=1)
+def _event_table() -> tuple[tuple, tuple, tuple]:
     """star_lines with the bounds of an event, and mirrors.  Per line: (f, w,
-    tau_in -/+ tol, tau_out -/+ tol, tips, stops), tips the (w of the outer
+    tau_in -/+ TOL_GEO, tau_out -/+ TOL_GEO, tips, stops), tips the (w of the outer
     vertex's other line, side if a hit there reflects, side if it reverses)
     at tau < 0 and tau > 0, stops the (tau, vertex) of its four vertices.
     Per edge: u^2 conj z + shift, u = conj w, as (u^2, shift); conjugated."""
-    rows = star_lines(star).rows
-    lines, mirrors = [], [None] * len(star.edges)
+    rows, tol = star_lines(), TOL_GEO
+    lines, mirrors = [], [None] * 10  # mirrors by edge id
     for f, w, t_in, t_out, sides in rows:
         u = w.conjugate()
         stops, tips = [], []
@@ -143,8 +144,7 @@ def _direction_rows(d: complex, lines: tuple) -> tuple[complex, tuple, tuple]:
     return d, tuple(out), tuple(slide)
 
 
-def _event(z: complex, rows: tuple, vertices: tuple[complex, ...],
-           tol: float) -> tuple[str, int, complex, float]:
+def _event(z: complex, rows: tuple) -> tuple[str, int, complex, float]:
     """next_event on the rows of _direction_rows."""
     d, out, slide = rows
     best, kind = math.inf, None
@@ -163,52 +163,46 @@ def _event(z: complex, rows: tuple, vertices: tuple[complex, ...],
                     best, kind, idx = t, side[2], side[3]
     for f, w, r, stops in slide:
         zw = (z - f) * w
-        if -tol < zw.imag < tol:  # sliding along the line
+        if -TOL_GEO < zw.imag < TOL_GEO:  # sliding along the line
             for tau, vid in stops:
                 s = (tau - zw.real) * r
-                if tol < s < best:
+                if TOL_GEO < s < best:
                     best, kind, idx = s, "reverse", vid
     if kind is None:
         raise DegenerateRay(f"no boundary hit from {z} along {d}")
     if kind == "reflect":
         return kind, idx, z + best * d, best
-    v = vertices[idx]
+    v = build_star().vertices[idx]
     return kind, idx, v, ((v - z) / d).real
 
 
-def next_event(state: BilliardState, star: StarPolygon,
-               tol: float = TOL_GEO) -> tuple[str, int, complex, float]:
+def next_event(state: BilliardState) -> tuple[str, int, complex, float]:
     """Earliest boundary hit of the ray: ('reflect', edge id, point, dt), or
-    ('reverse', vertex id, vertex, dt) for a hit within tol of a vertex
+    ('reverse', vertex id, vertex, dt) for a hit within TOL_GEO of a vertex
     (of an outer tip, only by a ray heading out across its other line too)."""
-    rows = _direction_rows(state.dir, _event_table(star, tol)[0])
-    return _event(state.pos, rows, star.vertices, tol)
+    return _event(state.pos, _direction_rows(state.dir, _event_table()[0]))
 
 
-def simulate(z0: complex, direction: complex, max_events: int,
-             star: StarPolygon | None = None, tol: float = TOL_GEO) -> Trajectory:
+def simulate(z0: complex, direction: complex, max_events: int) -> Trajectory:
     """Run the billiard from z0 until max_events boundary events occurred."""
-    if star is None:
-        star = build_star()
-    if direction == 0:
-        raise UsageError("the billiard direction must be nonzero")
+    if direction == 0 or not cmath.isfinite(direction):
+        raise UsageError(f"the billiard direction must be finite and nonzero, not {direction}")
     if max_events < 0:
         raise UsageError(f"max_events = {max_events}, expected at least 0")
     direction = direction / abs(direction)
-    loc = point_location(z0, star, tol)
+    loc = point_location(z0)
     if loc.kind == "center":
         raise UsageError("billiards start anywhere in K except the center")
     if loc.kind == "exterior":
         raise UsageError(f"start {z0} lies outside the star")
-    pair_m = edge_pairing(star).reflection_of_edge
-    lines, mirrors = _event_table(star, tol)[:2]
-    vertices = star.vertices
+    pair_m = edge_pairing().reflection_of_edge
+    lines, mirrors = _event_table()[:2]
 
     z, c, t0, rows = z0, 0, 0.0, _direction_rows(direction, lines)
     rows_of = [rows] + [None] * 19  # by direction code
     segments, events = [], []
     for _ in range(max_events):
-        kind, idx, point, dt = _event(z, rows, vertices, tol)
+        kind, idx, point, dt = _event(z, rows)
         t1 = t0 + dt
         segments.append((z, point, rows[0], t0, t1))
         if kind == "reflect":
@@ -225,7 +219,7 @@ def simulate(z0: complex, direction: complex, max_events: int,
                       tuple(map(partial(tuple.__new__, Event), events)))
 
 
-def lift_trajectory(traj: Trajectory, tol: float = TOL_GEO) -> Trajectory:
+def lift_trajectory(traj: Trajectory) -> Trajectory:
     """Annotate events with sector bookkeeping; reject center crossings.
 
     The sector index starts at 0 and is carried unchanged through reversals;
@@ -237,7 +231,7 @@ def lift_trajectory(traj: Trajectory, tol: float = TOL_GEO) -> Trajectory:
         u = seg.end - seg.start
         t = (((-seg.start) / u).real if u != 0 else 0.0)
         t = min(max(t, 0.0), 1.0)
-        if abs(seg.start + t * u) <= tol:
+        if abs(seg.start + t * u) <= TOL_GEO:
             raise CenterCrossing(f"segment through the center: {seg}")
     sector, new_events = 0, []
     for ev in traj.events:
@@ -248,7 +242,7 @@ def lift_trajectory(traj: Trajectory, tol: float = TOL_GEO) -> Trajectory:
     return Trajectory(traj.segments, tuple(new_events))
 
 
-def develop(traj: Trajectory, star: StarPolygon | None = None):
+def develop(traj: Trajectory):
     """Unfold the trajectory: straighten reflections, break at reversals.
 
     Returns (pieces, residual) where pieces is a list of developed point
@@ -257,9 +251,7 @@ def develop(traj: Trajectory, star: StarPolygon | None = None):
     """
     if not traj.segments:
         return [], 0.0
-    if star is None:
-        star = build_star()
-    tables = _event_table(star, TOL_GEO)[1:]  # the mirrors, and conjugated
+    tables = _event_table()[1:]  # the mirrors, and conjugated
     # the unfolding so far: z -> mul * (conj z if conj else z) + shift
     mul, conj, shift = 1.0 + 0.0j, 0, 0.0j
     pieces: list[list[complex]] = [[traj.segments[0].start]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
@@ -22,8 +23,14 @@ from .conformal import SHEET_COUNT, F_T, SheetedPoint, compute_k, eta
 from .geometry import apothem, build_star
 
 
+def _finite(value: str) -> float:
+    if not math.isfinite(x := float(value)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value!r}")
+    return x
+
+
 def _cpx(value: str) -> complex:
-    re, im = (float(s) for s in value.split(","))
+    re, im = (_finite(s) for s in value.split(","))
     return complex(re, im)
 
 
@@ -62,11 +69,11 @@ def cmd_star(args) -> int:
         "edges": [list(e) for e in star.edges],
         "lines": [{"foot": _c2l(l.foot), "direction": _c2l(l.direction),
                    "edges": list(l.edge_ids)} for l in star.edge_lines],
-        "apothem": apothem(star),
+        "apothem": apothem(),
     }
     _emit(payload, args)
     if args.svg:
-        svgout.star_scene(star).write(args.svg)
+        svgout.star_scene().write(args.svg)
     return 0
 
 
@@ -141,8 +148,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_billiard(args) -> int:
-    star = build_star()
-    traj = bl.simulate(args.z0, cmath.exp(1j * args.theta), args.events, star)
+    traj = bl.simulate(args.z0, cmath.exp(1j * args.theta), args.events)
     payload = {
         "segments": [{
             "start": _c2l(s.start), "end": _c2l(s.end),
@@ -155,7 +161,7 @@ def cmd_billiard(args) -> int:
     }
     if args.lift:
         lifted = bl.lift_trajectory(traj)
-        _pieces, residual = bl.develop(traj, star)
+        _pieces, residual = bl.develop(traj)
         payload["lift"] = {
             "tags": [{"pairing_m": ev.pairing_m, "sector": ev.sector,
                       "kind": ev.kind} for ev in lifted.events],
@@ -163,13 +169,12 @@ def cmd_billiard(args) -> int:
         }
     _emit(payload, args)
     if args.svg:
-        svgout.trajectory_scene(star, traj).write(args.svg)
+        svgout.trajectory_scene(traj).write(args.svg)
     return 0
 
 
 def cmd_tiling(args) -> int:
     from . import tiling as tl
-    star = build_star()
     patch = tl.generate_patch(args.depth)
     payload = {
         "depth": args.depth,
@@ -191,7 +196,7 @@ def cmd_tiling(args) -> int:
             status = 1
     _emit(payload, args)
     if args.svg:
-        svgout.patch_scene(star, patch).write(args.svg)
+        svgout.patch_scene(patch).write(args.svg)
     return status
 
 
@@ -269,15 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="integrate the straightened field")
     p.add_argument("--xi", type=_cpx, required=True, help="RE,IM")
     p.add_argument("--sheet", type=int, default=0, choices=range(SHEET_COUNT))
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--theta", type=_finite, default=0.0)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--samples", type=_positive_int, default=8)
     p.add_argument("--json")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("billiard", help="run a billiard trajectory")
     p.add_argument("--z0", type=_cpx, required=True, help="RE,IM")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite, required=True)
     p.add_argument("--events", type=_positive_int, default=16)
     p.add_argument("--svg")
     p.add_argument("--lift", action="store_true")

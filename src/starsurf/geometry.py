@@ -11,15 +11,16 @@ Fractions alongside their float values, so rational-angle identities can be
 tested exactly.
 
 Point location reads the star as its five edge lines (star_lines): K is
-the set of points outside at most one of them.  In the coordinates
+the set of points inside at least four of them.  In the coordinates
 p = (z - f) w of a line with foot f and conjugate direction w, a point is,
 by the first test it passes: the center, within tol of it; a vertex, within
 tol of one; on an edge, where |Im p| <= tol and tau_in < |Re p| < tau_out
-for some line (the lowest such edge id); else interior if Im p < 0 for at
-most one line and exterior if not.  point_location applies the rule to one
-point and returns a Location (kind, edge or vertex index, edge parameter).
-locate_kinds applies it to an array and returns kind codes, indices into
-KINDS: 0 exterior, 1 interior, 2 edge, 3 vertex, 4 center.  Billiard
+for some line (the lowest such edge id); else interior if Im p >= 0 for at
+least four lines and exterior if not, so a NaN or infinite point is
+exterior.  point_location applies the rule to one point and returns a
+Location (kind, edge or vertex index, edge parameter).  locate_kinds
+applies it to an array and returns kind codes, indices into KINDS:
+0 exterior, 1 interior, 2 edge, 3 vertex, 4 center.  Billiard
 events read the same table.
 """
 
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 EPSILON = cmath.exp(2j * math.pi / 5)  # the rotation R: z -> eps*z
 
@@ -219,18 +219,14 @@ class Location:
     parameter: float | None = None  # position along the edge in (0, 1)
 
 
-class StarLines(NamedTuple):
-    """The five edge lines, each in its coordinates p = (z - f) w, f the
-    line's foot and w its conjugate unit direction, so that Im p > 0 on the
-    center's side and tau = Re p runs along it.  rows[k] is (f, w, tau_in,
+@lru_cache(maxsize=1)
+def star_lines() -> tuple[tuple[complex, complex, float, float, tuple], ...]:
+    """The star's five edge lines, each in its coordinates p = (z - f) w, f
+    the line's foot and w its conjugate unit direction, so that Im p > 0 on
+    the center's side and tau = Re p runs along it.  Row k is (f, w, tau_in,
     tau_out, sides) for edge_lines[k]: |tau| of its inner and outer vertices
     and the (inner vertex, outer vertex, edge id) at tau < 0 and tau > 0."""
-
-    rows: tuple[tuple[complex, complex, float, float, tuple], ...]
-
-
-@lru_cache(maxsize=None)
-def star_lines(star: StarPolygon) -> StarLines:
+    star = build_star()
     rows = []
     for line in star.edge_lines:
         f, w = line.foot, line.direction.conjugate()
@@ -241,30 +237,30 @@ def star_lines(star: StarPolygon) -> StarLines:
             sides[tau_in > 0.0] = (v_in, v_out, eid)
         # |tau| as the line's second edge has it; the first's differ by an ulp
         rows.append((f, w, abs(tau_in), abs(tau_out), tuple(sides)))
-    return StarLines(tuple(rows))
+    return tuple(rows)
 
 
-def apothem(star: StarPolygon | None = None, tol: float = 1e-12) -> float:
-    """Distance from the center to the star's edge lines; all five agree."""
-    star = build_star() if star is None else star
-    dists = [abs(((star.center - f) * w).imag) for f, w, *_ in star_lines(star).rows]
-    if max(dists) - min(dists) > tol:
-        raise ValueError(f"edge-line distances disagree: {dists}")
+def apothem() -> float:
+    """Distance from the center to the star's edge lines: the mean of the
+    five, which agree to an ulp."""
+    center = build_star().center
+    dists = [abs(((center - f) * w).imag) for f, w, *_ in star_lines()]
     return sum(dists) / len(dists)
 
 
-def point_location(z: complex, star: StarPolygon, tol: float = TOL_GEO) -> Location:
+def point_location(z: complex, tol: float = TOL_GEO) -> Location:
     """The center, a vertex, an edge (the lowest edge id within tol of z) or
-    else interior or exterior by the count of lines z lies outside."""
+    else interior or exterior by the count of lines z lies inside."""
+    star = build_star()
     if abs(z - star.center) <= tol:
         return Location("center")
     for vid, v in enumerate(star.vertices):
         if abs(z - v) <= tol:
             return Location("vertex", index=vid)
-    outside, edge = 0, None
-    for f, w, tau_in, tau_out, sides in star_lines(star).rows:
+    inside, edge = 0, None
+    for f, w, tau_in, tau_out, sides in star_lines():
         p = (z - f) * w
-        outside += p.imag < 0.0
+        inside += p.imag >= 0.0
         tau = abs(p.real)
         if -tol <= p.imag <= tol and tau_in < tau < tau_out:
             eid = sides[p.real > 0.0][2]
@@ -274,7 +270,7 @@ def point_location(z: complex, star: StarPolygon, tol: float = TOL_GEO) -> Locat
                 edge = Location("edge", index=eid, parameter=1.0 - t if eid % 2 else t)
     if edge is not None:
         return edge
-    return Location("interior" if outside <= 1 else "exterior")
+    return Location("interior" if inside >= 4 else "exterior")
 
 
 #: kind codes of locate_kinds: KINDS[code] is point_location's kind string
@@ -282,26 +278,27 @@ KINDS = ("exterior", "interior", "edge", "vertex", "center")
 EXTERIOR, INTERIOR, EDGE, VERTEX, CENTER = range(len(KINDS))
 
 
-@lru_cache(maxsize=None)
-def _line_columns(star: StarPolygon):
+@lru_cache(maxsize=1)
+def _line_columns():
     import numpy as np
     return np.array([(f.real, f.imag, w.real, w.imag, t_in, t_out)
-                     for f, w, t_in, t_out, _sides in star_lines(star).rows]).T
+                     for f, w, t_in, t_out, _sides in star_lines()]).T
 
 
-def locate_kinds(zs, star: StarPolygon, tol: float = TOL_GEO) -> tuple[np.ndarray, int]:
+def locate_kinds(zs) -> tuple[np.ndarray, int]:
     """point_location's kind codes (indices into KINDS) for an array of
-    points of any shape, and how many are near the boundary: within tol of
-    an edge line or in the square of half-width tol about the center, the
-    only points the center, vertex and edge tests can pass.  Products are
-    spelled out as CPython forms them, so both forms round alike."""
+    points of any shape, and how many are near the boundary: within TOL_GEO
+    of an edge line or in the square of half-width TOL_GEO about the center,
+    the only points the center, vertex and edge tests can pass.  Products
+    are spelled out as CPython forms them, so both forms round alike."""
     import numpy as np
+    tol, star = TOL_GEO, build_star()
     shape = np.shape(zs)
     z = np.asarray(zs, dtype=complex).ravel()
-    fx, fy, wx, wy, tau_in, tau_out = _line_columns(star)[..., None]
+    fx, fy, wx, wy, tau_in, tau_out = _line_columns()[..., None]
     dx, dy = z.real - fx, z.imag - fy  # one row per line
     s = dx * wy + dy * wx              # Im p
-    kinds = ((s < 0.0).sum(axis=0) <= 1).astype(np.int8)  # INTERIOR or EXTERIOR
+    kinds = ((s >= 0.0).sum(axis=0) >= 4).astype(np.int8)  # INTERIOR or EXTERIOR
     c = star.center
     near = ((np.abs(s) <= tol).any(axis=0)
             | ((np.abs(z.real - c.real) <= tol) & (np.abs(z.imag - c.imag) <= tol)))

@@ -26,14 +26,10 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import StarPolygon, build_star
+from .geometry import build_star
 
 #: the center's id; R and every T_m fix it
 CENTER_ID = 10
-
-
-class PairingFailure(RuntimeError):
-    """Some boundary edge has no reflection partner among the edges."""
 
 
 class CellCountMismatch(RuntimeError):
@@ -74,18 +70,13 @@ class EdgePairing:
         return len(self.ordered_orbits)
 
 
-@lru_cache(maxsize=4)
-def edge_pairing(star: StarPolygon | None = None) -> EdgePairing:
+@lru_cache(maxsize=1)
+def edge_pairing() -> EdgePairing:
     """Pair each boundary edge with the T_m image on its own line."""
-    if star is None:
-        star = build_star()
-    partner_m = []
-    for eid in range(10):
-        line = star.line_of_edge(eid).edge_ids
-        ms = [m for m in range(5) if reflect_edge(m, eid) in line]
-        if len(ms) != 1:
-            raise PairingFailure(f"edge {eid} has no reflection partner")
-        partner_m.append(ms[0])
+    # edges e and e' share a line for one m alone: 4m = e + e' - 1 (mod 10)
+    line_of = build_star().line_of_edge
+    partner_m = [next(m for m in range(5) if reflect_edge(m, e) in line_of(e).edge_ids)
+                 for e in range(10)]
     pairs = tuple(sorted({tuple(sorted((e, reflect_edge(m, e))))
                           for e, m in enumerate(partner_m)}))
     ordered = pairs + tuple(p[::-1] for p in pairs)
@@ -137,10 +128,9 @@ class TriangulationCensus:
     cone_angles: dict[str, float]
 
 
-@lru_cache(maxsize=4)
-def triangulate(star: StarPolygon | None = None) -> TriangulationCensus:
-    if star is None:
-        star = build_star()
+@lru_cache(maxsize=1)
+def triangulate() -> TriangulationCensus:
+    star = build_star()
     inner, outer = tuple(range(0, 10, 2)), tuple(range(1, 10, 2))
     faces, edges = [], []
     for v in inner:
@@ -165,7 +155,7 @@ def triangulate(star: StarPolygon | None = None) -> TriangulationCensus:
         edge_orbits=_rotation_orbits(edges),
         oriented_edge_orbits=_rotation_orbits(edges + [e[::-1] for e in edges]),
         vertex_orbits=_rotation_orbits([(v,) for v in inner + outer]),
-        pairing=edge_pairing(star),
+        pairing=edge_pairing(),
         corner_angles=tuple(map(tuple, corners)),
         cone_angles=cone,
     )

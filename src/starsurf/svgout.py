@@ -6,6 +6,8 @@ formatted with fixed precision so identical scenes diff identically.
 
 from __future__ import annotations
 
+from .geometry import build_star
+
 
 class Scene:
     def __init__(self, pad: float = 0.15):
@@ -64,7 +66,8 @@ class Scene:
             fh.write(self.to_svg())
 
 
-def star_scene(star, with_lines=True) -> Scene:
+def star_scene(with_lines=True) -> Scene:
+    star = build_star()
     sc = Scene()
     sc.polygon(list(star.vertices))
     if with_lines:
@@ -77,8 +80,8 @@ def star_scene(star, with_lines=True) -> Scene:
     return sc
 
 
-def trajectory_scene(star, traj) -> Scene:
-    sc = star_scene(star, with_lines=False)
+def trajectory_scene(traj) -> Scene:
+    sc = star_scene(with_lines=False)
     pts = [traj.segments[0].start] + [s.end for s in traj.segments]
     sc.polyline(pts)
     for ev in traj.events:
@@ -86,10 +89,10 @@ def trajectory_scene(star, traj) -> Scene:
     return sc
 
 
-def patch_scene(star, patch) -> Scene:
+def patch_scene(patch) -> Scene:
     sc = Scene()
     for c in patch.centers:
-        sc.polygon([c + v for v in star.vertices], stroke="#4a6a9a", width=0.006)
+        sc.polygon([c + v for v in build_star().vertices], stroke="#4a6a9a", width=0.006)
     for p in patch.vpoints:
         sc.dot(p, r=0.012)
     return sc

@@ -37,8 +37,8 @@ from operator import add
 import numpy as np
 
 from .config import UsageError
-from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, StarPolygon, TOL_GEO,
-                       build_star, locate_kinds, point_location)
+from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, build_star, locate_kinds,
+                       point_location)
 from .quotient import edge_pairing
 
 
@@ -207,24 +207,19 @@ def generate_patch(depth: int, include_inverses: bool = True) -> TilingPatch:
     return TilingPatch(depth=depth, centers=centers, words=words, vpoints=vpoints)
 
 
-def copies_containing(z: complex, patch: TilingPatch,
-                      star: StarPolygon | None = None,
-                      tol: float = TOL_GEO) -> list[int]:
+def copies_containing(z: complex, patch: TilingPatch) -> list[int]:
     """Indices of patch copies whose closed star contains z."""
-    if star is None:
-        star = build_star()
-    inside = _in_copies([z], np.array(patch.centers), star, tol)[0]
+    inside = _in_copies([z], np.array(patch.centers))[0]
     return np.flatnonzero(inside[0]).tolist()
 
 
-def _in_copies(zs, centers: np.ndarray, star: StarPolygon,
-               tol: float = TOL_GEO) -> tuple[np.ndarray, int, int]:
+def _in_copies(zs, centers: np.ndarray) -> tuple[np.ndarray, int, int]:
     """inside[i, j]: whether the closed star copy at centers[j] contains zs[i]; the
     number of offsets classified (those within REJECT_RADIUS), and of them near_boundary."""
     offsets = np.asarray(zs)[:, None] - centers
     near = np.abs(offsets) <= REJECT_RADIUS
     inside = np.zeros(offsets.shape, dtype=bool)
-    kinds, n_near = locate_kinds(offsets[near], star, tol)
+    kinds, n_near = locate_kinds(offsets[near])
     inside[near] = kinds != EXTERIOR
     return inside, kinds.size, n_near
 
@@ -300,7 +295,6 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     Raises CheckFailure with a witness on any counterexample.
     """
     rng = random.Random(seed)
-    star = build_star()
     patch = generate_patch(depth)
 
     elements = _draw_elements(rng, word_length, element_sample)
@@ -308,7 +302,7 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     # V+ membership with an exact witness: a vpoint is a lattice word plus a
     # base vertex word, the group acts on both by the index laws, so the
     # image's word is predicted exactly and checked against the float image.
-    base_vertices = (0.0 + 0.0j,) + star.vertices
+    base_vertices = (0.0 + 0.0j,) + build_star().vertices
     # the rotation and the reflection both permute the base vertex set
     base_keys = {_key(w) for w in BASE_WORDS}
     if any({_key(_word_rotate(w, 1)), _key(_word_conjugate(w))} - base_keys
@@ -376,11 +370,10 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     interior images; interior_unique counts the samples with exactly one.
     """
     rng = random.Random(seed)
-    star = build_star()
     values = _translation_values(word_length)[0]
     # a candidate z + t within REJECT_RADIUS has |t| <= REJECT_RADIUS + |z|
     translations = values[np.abs(values) <= REJECT_RADIUS + disk_radius]
-    pairing = edge_pairing(star)
+    pairing = edge_pairing()
 
     zs = _samples(rng, samples, disk_radius, generate_patch(depth).vpoints, disk_radius)
     existence_fail = []
@@ -391,7 +384,7 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
         # distinct translations (>= 0.09 apart), two rotations' images meet
         # only for non-generic z, so each interior carrier is its own image
         w = z + translations
-        kinds, n_near = locate_kinds(w[np.abs(w) <= REJECT_RADIUS], star)
+        kinds, n_near = locate_kinds(w[np.abs(w) <= REJECT_RADIUS])
         candidates += kinds.size
         near_boundary += n_near
         if not np.count_nonzero((kinds != EXTERIOR) & (kinds != CENTER)):
@@ -405,10 +398,10 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     # boundary samples: the two representatives are related by the pairing
     boundary_ok = 0
     for eid in range(10):
-        p, q = star.edge_endpoints(eid)
+        p, q = build_star().edge_endpoints(eid)
         x = p + rng.uniform(0.2, 0.8) * (q - p)
         y = reflection(pairing.reflection_of_edge[eid])(x)
-        if point_location(y, star).kind != "edge":
+        if point_location(y).kind != "edge":
             raise CheckFailure(f"pairing image of {x} is not a boundary point")
         boundary_ok += 1
 
@@ -441,12 +434,12 @@ def coverage_check(samples: int = 500, seed: int = 1, depth: int = 3,
     while len(zs) < samples:  # drawing only the missing ones stops at the last sample
         zs = np.concatenate([zs, _samples(rng, samples - len(zs), disk_radius, patch.vpoints,
                                           disk_radius)])
-    centers, star = np.array(patch.centers), build_star()
+    centers = np.array(patch.centers)
     misses = []
     candidates = near_boundary = 0
     for start in range(0, len(zs), COVERAGE_CHUNK):
         chunk = zs[start:start + COVERAGE_CHUNK]
-        inside, classified, n_near = _in_copies(chunk, centers, star)
+        inside, classified, n_near = _in_copies(chunk, centers)
         misses += chunk[~inside.any(axis=1)].tolist()
         candidates += classified
         near_boundary += n_near

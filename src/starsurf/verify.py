@@ -259,13 +259,12 @@ def check_isometry_straightening(seed: int = 11) -> CheckResult:
 @_check("billiards")
 def check_billiards(seed: int = 5) -> CheckResult:
     rng = random.Random(seed)
-    star = build_star()
 
     res_invol = 0.0
     for _ in range(50):
         d = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         eid = rng.randrange(10)
-        dd = bl.reflect_dir(bl.reflect_dir(d, eid, star), eid, star)
+        dd = bl.reflect_dir(bl.reflect_dir(d, eid), eid)
         res_invol = max(res_invol, abs(dd - d))
 
     # vertex reversal on the real-axis launch
@@ -280,7 +279,7 @@ def check_billiards(seed: int = 5) -> CheckResult:
     n_ic = 0
     while n_ic < 20:
         z0 = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        if point_location(z0, star).kind != "interior" or abs(z0) < 0.05:
+        if point_location(z0).kind != "interior" or abs(z0) < 0.05:
             continue
         n_ic += 1
         d0 = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -296,7 +295,7 @@ def check_billiards(seed: int = 5) -> CheckResult:
                                 abs(rot * s0.start - s1.start),
                                 abs(rot * s0.end - s1.end))
         if all(ev.kind == "reflect" for ev in traj0.events):
-            _pieces, resid = bl.develop(traj0, star)
+            _pieces, resid = bl.develop(traj0)
             res_dev = max(res_dev, resid)
 
     ok = (res_invol < 1e-12 and reversal_ok and res_speed < 1e-9

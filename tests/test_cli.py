@@ -271,7 +271,7 @@ def _scalar_start(out: pathlib.Path) -> str:
             "                      point_location, simulate)\n"
             "develop(simulate(0.1 + 0.05j, 1j, 40))\n"
             "flow(SheetedPoint(0.8 + 0.7j, 3), 0.05)\n"
-            "F_Q_inv(0.3 + 0.1j); point_location(0.2j, build_star()); edge_pairing(build_star())\n"
+            "F_Q_inv(0.3 + 0.1j); point_location(0.2j); edge_pairing()\n"
             "from starsurf.cli import main\n"
             f"main(['star', '--json', {str(out / 's.json')!r}])\n"
             "main(['billiard', '--z0', '0.05,0.13', '--theta', '0.53', '--lift',\n"
@@ -292,7 +292,7 @@ def test_array_calls_after_a_scalar_start(tmp_path):
         _scalar_start(tmp_path)
         + "import numpy as np\n"
           "from starsurf.geometry import KINDS, locate_kinds\n"
-          "kinds, _near = locate_kinds(np.array([0.1j, 3.0]), build_star())\n"
+          "kinds, _near = locate_kinds(np.array([0.1j, 3.0]))\n"
           "assert [KINDS[k] for k in kinds] == ['interior', 'exterior'], kinds\n"
           "assert abs(F_T(np.array([1 + 1j, 0.5j]))[0] - F_T(1 + 1j)) <= 1e-15\n"
           "from starsurf import monodromy\n"
@@ -351,9 +351,17 @@ def test_map_calls_build_no_quadrature_tables():
     ["map", "grid", "--n", "-2", "--svg", "grid.svg"],
     ["billiard", "--z0", "0.05,0.13", "--theta", "0.53", "--events", "-3"],
     ["verify", "--module", "bogus"],
+    ["billiard", "--z0", "nan,0", "--theta", "0.53"],
+    ["billiard", "--z0", "0.05,0.13", "--theta", "nan"],
+    ["flow", "--xi", "1.1,0.9", "--t", "nan"],
+    ["flow", "--xi", "1.1,0.9", "--t", "0.1", "--theta=-inf"],
+    ["map", "eval", "--xi", "nan,0"],
+    ["map", "eval", "--xi", "0.3,inf"],
 ], ids=["flow-sheet", "flow-steps-0", "flow-steps-negative", "map-eval-sheet",
         "flow-samples-0", "flow-samples-negative", "map-grid-n-0", "map-grid-n-negative",
-        "billiard-events-negative", "verify-module-unknown"])
+        "billiard-events-negative", "verify-module-unknown", "billiard-z0-nan",
+        "billiard-theta-nan", "flow-t-nan", "flow-theta-inf", "map-eval-xi-nan",
+        "map-eval-xi-inf"])
 def test_bad_sheet_or_steps_is_a_usage_error(capsys, argv):
     # flow --steps is gone: it set the resolution of the RK4 flow
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -179,7 +180,7 @@ def test_star_equals_union_of_kites(kind):
     rng = random.Random(9)
     for _ in range(400):
         z = complex(rng.uniform(-1.7, 1.7), rng.uniform(-1.7, 1.7))
-        loc = point_location(z, star)
+        loc = point_location(z)
         if loc.kind in ("edge", "vertex"):
             continue
         in_union = any(_in_kite(z, kite) for kite in kites)
@@ -207,23 +208,23 @@ def test_build_star_deterministic():
 
 def test_point_location_cases():
     star = build_star()
-    assert point_location(0j, star).kind == "center"
-    loc = point_location(complex(INNER_RADIUS, 0), star)
+    assert point_location(0j).kind == "center"
+    loc = point_location(complex(INNER_RADIUS, 0))
     assert loc.kind == "vertex" and loc.index == 0
-    assert point_location(2 * OUTER_RADIUS + 0j, star).kind == "exterior"
+    assert point_location(2 * OUTER_RADIUS + 0j).kind == "exterior"
     p, q = star.edge_endpoints(3)
     mid = (p + q) / 2
-    loc = point_location(mid, star)
+    loc = point_location(mid)
     assert loc.kind == "edge" and loc.index == 3
     assert abs(loc.parameter - 0.5) < 1e-9
     # edge j's parameter runs from vertex j to vertex j + 1
     for eid in range(10):
         p, q = star.edge_endpoints(eid)
         for t in (0.1, 0.9):
-            assert abs(point_location(p + t * (q - p), star).parameter - t) < 1e-12
-    assert point_location(0.1 + 0.1j, star).kind == "interior"
+            assert abs(point_location(p + t * (q - p)).parameter - t) < 1e-12
+    assert point_location(0.1 + 0.1j).kind == "interior"
     # vertex capture within the tolerance
-    assert point_location(complex(INNER_RADIUS, 5e-10), star).kind == "vertex"
+    assert point_location(complex(INNER_RADIUS, 5e-10)).kind == "vertex"
 
 
 # ------------------------------------------- the batch classifier locate_kinds
@@ -261,15 +262,15 @@ POINTS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(POINTS, min_size=1, max_size=40))
 def test_locate_kinds_agrees_with_point_location(zs):
-    kinds = [KINDS[c] for c in locate_kinds(zs, STAR)[0]]
-    assert kinds == [point_location(z, STAR).kind for z in zs]
+    kinds = [KINDS[c] for c in locate_kinds(zs)[0]]
+    assert kinds == [point_location(z).kind for z in zs]
 
 
 @pytest.mark.parametrize("z", [0.1, 0j, 0.5 + 0.2j, STAR.vertices[3], 5.0])
 def test_locate_kinds_takes_a_single_point(z):
-    kinds, _near = locate_kinds(z, STAR)
-    assert kinds.shape == () and KINDS[kinds] == point_location(z, STAR).kind
-    grid = locate_kinds([[z, 0.1], [0.2j, z]], STAR)[0]
+    kinds, _near = locate_kinds(z)
+    assert kinds.shape == () and KINDS[kinds] == point_location(z).kind
+    grid = locate_kinds([[z, 0.1], [0.2j, z]])[0]
     assert grid.shape == (2, 2) and grid[0, 0] == grid[1, 1] == kinds
 
 
@@ -286,8 +287,8 @@ FAR = st.builds(lambda r, u: (r * u, None), st.floats(0.0, 3.0), UNIT)
 @given(st.lists(st.one_of(ON_LINES, FAR), min_size=1, max_size=40))
 def test_five_line_count_agrees_with_point_location(points):
     zs = [z for z, _m in points]
-    kinds, near_boundary = locate_kinds(zs, STAR)
-    assert [KINDS[c] for c in kinds] == [point_location(z, STAR).kind for z in zs]
+    kinds, near_boundary = locate_kinds(zs)
+    assert [KINDS[c] for c in kinds] == [point_location(z).kind for z in zs]
     assert near_boundary >= sum(m is not None and abs(m) < 1 for _z, m in points)
 
 
@@ -300,8 +301,8 @@ def _line_distance(z: complex) -> float:
 def test_off_the_lines_the_crossing_test_decides(z):
     assume(_line_distance(z) > 1e-6 and abs(z) > 1e-6)
     kind = "interior" if _crossings_inside(z, STAR.vertices) else "exterior"
-    assert point_location(z, STAR).kind == kind
-    assert KINDS[locate_kinds(z, STAR)[0]] == kind
+    assert point_location(z).kind == kind
+    assert KINDS[locate_kinds(z)[0]] == kind
 
 
 def _designed_points():
@@ -332,9 +333,9 @@ def _designed_points():
 
 @pytest.mark.parametrize("z, kind, index", _designed_points())
 def test_points_near_the_features_get_their_designed_kinds(z, kind, index):
-    loc = point_location(z, STAR)
+    loc = point_location(z)
     assert (loc.kind, loc.index) == (kind, index)
-    assert KINDS[locate_kinds(z, STAR)[0]] == kind
+    assert KINDS[locate_kinds(z)[0]] == kind
 
 
 #: points whose kind no rounding of a symmetry can change: edge points
@@ -352,6 +353,22 @@ STABLE = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(STABLE, min_size=1, max_size=40))
 def test_locate_kinds_is_dihedrally_invariant(zs):
-    kinds = locate_kinds(zs, STAR)[0]
-    assert list(locate_kinds([EPSILON * z for z in zs], STAR)[0]) == list(kinds)
-    assert list(locate_kinds([z.conjugate() for z in zs], STAR)[0]) == list(kinds)
+    kinds = locate_kinds(zs)[0]
+    assert list(locate_kinds([EPSILON * z for z in zs])[0]) == list(kinds)
+    assert list(locate_kinds([z.conjugate() for z in zs])[0]) == list(kinds)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("z", [complex(NAN, 0.0), complex(0.0, NAN), complex(NAN, NAN),
+                               complex(INF, 0.0), complex(-INF, 0.0), complex(0.0, INF),
+                               complex(0.0, -INF), complex(INF, INF), complex(-INF, INF),
+                               complex(INF, NAN)])
+def test_a_non_finite_point_is_exterior(z):
+    # no line comparison holds for NaN, and a far point is inside at most
+    # three lines: neither can reach the four lines an interior point needs
+    assert point_location(z).kind == "exterior"
+    with np.errstate(invalid="ignore"):
+        kinds, near = locate_kinds([z, 0.1 + 0.1j])
+    assert [KINDS[k] for k in kinds] == ["exterior", "interior"] and near == 0

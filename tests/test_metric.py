@@ -131,7 +131,7 @@ def test_delta_star_image_in_star():
     rng = random.Random(9)
     for _ in range(40):
         p = _random_point(rng, lower=rng.random() < 0.5)
-        loc = point_location(delta_star(p), star, tol=1e-7)
+        loc = point_location(delta_star(p), tol=1e-7)
         assert loc.kind != "exterior"
 
 

@@ -89,7 +89,7 @@ def test_reflections_preserve_the_star():
 
 
 def test_edge_pairing_structure():
-    pairing = edge_pairing(STAR)
+    pairing = edge_pairing()
     assert len(pairing.pairs) == 5
     seen = set()
     for e0, e1 in pairing.pairs:
@@ -102,7 +102,7 @@ def test_edge_pairing_structure():
 
 
 def test_edge_pairing_reflections_swap_partners():
-    pairing = edge_pairing(STAR)
+    pairing = edge_pairing()
     for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
         assert reflect_edge(m, e0) == e1 and reflect_edge(m, e1) == e0
         p, q = STAR.edge_endpoints(e0)
@@ -113,7 +113,7 @@ def test_edge_pairing_reflections_swap_partners():
 
 
 def test_reflection_of_edge_agrees_with_pair_table():
-    pairing = edge_pairing(STAR)
+    pairing = edge_pairing()
     assert len(pairing.reflection_of_edge) == 10
     for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
         assert pairing.reflection_of_edge[e0] == m
@@ -123,21 +123,21 @@ def test_reflection_of_edge_agrees_with_pair_table():
 def test_edge_pair_orbits_measured_sizes():
     # the five chord pairs form one rotation orbit; ordered pairs form two.
     # orbit sizes under a cyclic group of order five divide five.
-    pairing = edge_pairing(STAR)
+    pairing = edge_pairing()
     assert pairing.unordered_orbit_sizes == (5,)
     assert pairing.ordered_orbit_count == 2
     assert sorted(len(o) for o in pairing.ordered_orbits) == [5, 5]
 
 
 def test_census_cell_counts():
-    census = triangulate(STAR)
+    census = triangulate()
     assert len(census.faces) == 10
     assert len(census.edges) == 20
     assert len(census.vertices) == 10
 
 
 def test_census_orbits():
-    census = triangulate(STAR)
+    census = triangulate()
     assert sorted(len(o) for o in census.face_orbits) == [5, 5]
     assert sorted(len(o) for o in census.vertex_orbits) == [5, 5]
     # four undirected edge classes of size five; eight oriented labels
@@ -148,7 +148,7 @@ def test_census_orbits():
 
 def test_census_faces_are_the_star_triangles():
     # each face is the center and an edge's two ends, as float triangles too
-    census = triangulate(STAR)
+    census = triangulate()
     points = STAR.vertices + (STAR.center,)
     assert sorted(tuple(sorted(f[1:])) for f in census.faces) == sorted(
         tuple(sorted(STAR.edges[e])) for e in range(10))
@@ -159,14 +159,14 @@ def test_census_faces_are_the_star_triangles():
 
 
 def test_rotation_acts_freely_on_faces():
-    census = triangulate(STAR)
+    census = triangulate()
     for face in census.faces:
         rotated = tuple(map(rotate, face))
         assert rotated in census.faces and set(rotated) != set(face)
 
 
 def test_vertex_orbits_split_inner_outer():
-    census = triangulate(STAR)
+    census = triangulate()
     for orbit in census.vertex_orbits:
         parities = {census.vertices[i] % 2 for i in orbit}
         assert len(parities) == 1
@@ -175,7 +175,7 @@ def test_vertex_orbits_split_inner_outer():
 
 
 def test_cone_angles():
-    census = triangulate(STAR)
+    census = triangulate()
     assert abs(census.cone_angles["inner"] - 7 * math.pi / 5) < 1e-12
     assert abs(census.cone_angles["outer"] - math.pi / 5) < 1e-12
 

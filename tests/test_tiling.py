@@ -222,8 +222,8 @@ def test_coverage_of_disk():
 
 def test_copies_containing_origin_region():
     patch = generate_patch(1)
-    assert 0 in copies_containing(0.1 + 0.1j, patch, STAR)
-    assert copies_containing(0.97 * cmath.exp(1j * 0.9), patch, STAR)
+    assert 0 in copies_containing(0.1 + 0.1j, patch)
+    assert copies_containing(0.97 * cmath.exp(1j * 0.9), patch)
 
 
 def test_invariance_freeness_transitivity():
@@ -339,7 +339,7 @@ def test_fundamental_domain_check_matches_the_five_rotation_search():
         counts = set()
         for j in range(5):
             w = EPSILON ** j * z + translations
-            kinds, _near = locate_kinds(w[np.abs(w) <= REJECT_RADIUS], STAR)
+            kinds, _near = locate_kinds(w[np.abs(w) <= REJECT_RADIUS])
             carriers = np.count_nonzero((kinds != EXTERIOR) & (kinds != CENTER))
             counts.add((np.count_nonzero(kinds == INTERIOR), carriers, kinds.size))
         assert len(counts) == 1, z
@@ -408,17 +408,17 @@ def test_fundamental_domain_witness_for_neighbor_copy():
     # a point inside the copy centered at 1 is carried back by tau_0^{-1}
     z = 1.2 + 0.1j
     g = tau(0).inverse()
-    assert point_location(g(z), STAR).kind == "interior"
+    assert point_location(g(z)).kind == "interior"
 
 
 def test_boundary_points_pair_under_the_identifying_reflection():
-    pairing = edge_pairing(STAR)
+    pairing = edge_pairing()
     for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
         p, q = STAR.edge_endpoints(e0)
         x = p + 0.37 * (q - p)
         y = reflection(m)(x)
         assert abs(y - _mirror(x, (2 * m + 1) * math.pi / 5)) < 1e-15
-        loc = point_location(y, STAR)
+        loc = point_location(y)
         assert loc.kind == "edge" and loc.index == e1
 
 
