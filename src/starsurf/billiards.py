@@ -223,9 +223,8 @@ def lift_trajectory(traj: Trajectory) -> Trajectory:
     """Annotate events with sector bookkeeping; reject center crossings.
 
     The sector index starts at 0 and is carried unchanged through reversals;
-    a reflection in edge E moves the path onto the identified partner edge
-    T_m(E), which lies in the sector reached by the identification.  The
-    sectors are fixed by the frame.
+    a reflection in edge e sets it to e // 2, since edges 2k and 2k + 1 span
+    sector k, the angles from 2k pi/5 to (2k + 2) pi/5.
     """
     for seg in traj.segments:
         u = seg.end - seg.start
@@ -236,8 +235,7 @@ def lift_trajectory(traj: Trajectory) -> Trajectory:
     sector, new_events = 0, []
     for ev in traj.events:
         if ev.kind == "reflect":
-            angle = math.atan2(ev.position.imag, ev.position.real) % (2 * math.pi)
-            sector = int(angle // (2 * math.pi / 5)) % 5
+            sector = ev.edge // 2
         new_events.append(ev._replace(sector=sector))
     return Trajectory(traj.segments, tuple(new_events))
 

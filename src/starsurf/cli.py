@@ -78,7 +78,6 @@ def cmd_star(args) -> int:
 
 
 def cmd_map(args) -> int:
-    load_settings(args.config)  # a bad config file is a usage error
     if args.action == "eval":
         xi = args.xi
         payload = {
@@ -123,7 +122,6 @@ def cmd_genus(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    load_settings(args.config)  # a bad config file is a usage error
     p = SheetedPoint(args.xi, args.sheet)
     direction = cmath.exp(1j * args.theta)
     n = args.samples
@@ -183,14 +181,13 @@ def cmd_tiling(args) -> int:
     }
     status = 0
     if args.check:
-        settings = load_settings(args.config)
+        seed = args.settings.seed
         try:
-            payload["coverage"] = tl.coverage_check(depth=args.depth,
-                                                    seed=settings.seed + 1)
+            payload["coverage"] = tl.coverage_check(depth=args.depth, seed=seed + 1)
             payload["invariance_freeness"] = tl.invariance_freeness_checks(
-                seed=settings.seed, depth=min(args.depth, 3))
+                seed=seed, depth=min(args.depth, 3))
             payload["fundamental_domain"] = tl.fundamental_domain_check(
-                seed=settings.seed, depth=min(args.depth, 3))
+                seed=seed, depth=min(args.depth, 3))
         except tl.CheckFailure as exc:
             payload["check_failure"] = str(exc)
             status = 1
@@ -314,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.settings = load_settings(args.config)  # a bad config file is a usage error
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,15 +25,19 @@ class Settings:
 def load_settings(path: str | None = None, overrides: dict | None = None) -> Settings:
     values: dict = {}
     if path:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"bad config line: {raw.rstrip()}")
-                key, val = (s.strip() for s in line.split("=", 1))
-                values[key] = val
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read the config file: {exc}") from exc
+        for raw in lines:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"bad config line: {raw.rstrip()}")
+            key, val = (s.strip() for s in line.split("=", 1))
+            values[key] = val
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
 

@@ -51,6 +51,9 @@ SHEET_COUNT = 10
 BRANCH_PHASE = cmath.exp(4j * math.pi / 5)
 #: e^{i pi m/5}, the constant factor from sheet 0 to sheet m
 SHEET_PHASE = tuple(cmath.exp(1j * math.pi * m / 5) for m in range(SHEET_COUNT))
+#: the far bound on |Re xi|, |Im xi|: F_T is at its value at infinity to rounding
+#: from |xi| ~ 1e17, and eta ~ xi^2 overflows from |xi| ~ 1.3e154
+XI_FAR = 1e150
 
 
 def __getattr__(name):  # the oracle's DEFAULT_RULE, for callers of F_T(xi, rule)
@@ -93,6 +96,8 @@ def _check_regular(xi: complex, tol: float = 1e-13) -> complex:
     for s in PREVERTICES:
         if abs(xi - s) <= tol:
             raise SingularFiber(f"xi = {xi} is within {tol} of the fiber over {s}")
+    if max(abs(xi.real), abs(xi.imag)) > XI_FAR:
+        raise UsageError(f"xi = {xi} lies beyond the curve's bound |Re xi|, |Im xi| <= {XI_FAR:g}")
     return xi
 
 
@@ -266,6 +271,7 @@ def F_T(xi, rule: QuadratureRule | None = None):
     log t = clog(t) and log(1 - t) = conj(clog(s_bar)) take the upper side of
     the real axis, so arg(1 - t) = -pi on t > 1 (the edge AB).  Points and
     arrays read one table and one region rule: one Horner sum per point.
+    A point beyond XI_FAR is read as the point on the bound in its direction.
     Given a quadrature rule, F_T(xi, rule) integrates by quadrature instead,
     at a point: the oracle of the closed form.
     """
@@ -278,10 +284,12 @@ def F_T(xi, rule: QuadratureRule | None = None):
     xi = complex(xi)
     if xi.imag < -1e-12:
         raise ValueError("F_T is defined on the closed upper half-plane")
-    y = max(xi.imag, 0.0)
-    if y == 0.0 and xi.real in CORNERS:
-        return CORNERS[xi.real]
-    t, s_bar, radii, variables = _series_inputs(xi.real, y)
+    x, y = xi.real, max(xi.imag, 0.0)
+    if y == 0.0 and x in CORNERS:
+        return CORNERS[x]
+    if (far := max(abs(x), y)) > XI_FAR:
+        x, y = x * (XI_FAR / far), y * (XI_FAR / far)
+    t, s_bar, radii, variables = _series_inputs(x, y)
     r = radii.index(min(radii)) if min(radii) <= SWITCH_RADIUS else 4
     x, acc = variables[r], 0j
     for c in _ROWS[r]:
@@ -300,6 +308,10 @@ def _F_T_array(xi: np.ndarray) -> np.ndarray:
     if np.any(xi.imag < -1e-12):
         raise ValueError("F_T is defined on the closed upper half-plane")
     x, y = xi.real, np.maximum(xi.imag, 0.0)
+    far = np.maximum(np.abs(x), y)
+    if (far > XI_FAR).any():
+        scale = XI_FAR / np.maximum(far, XI_FAR)
+        x, y = x * scale, y * scale
     corner = (y == 0.0) & np.isin(x, tuple(CORNERS))
     # a regular stand-in at the corners, whose images are set at the end
     t, s_bar, radii, variables = _series_inputs(x, np.where(corner, 1.0, y))

@@ -10,6 +10,9 @@ Continuation follows sheet 0 alone: the sheets differ by the constant
 phases e^{i pi k/5}, so a loop taking sheet 0 to sheet m takes every sheet
 k to k + m, and its monodromy is the shift by m.  Each step reads its sheet
 jump off the phase change of eta_0; no step scans the ten values.
+
+The curve's symmetries act on sheets by geometry.Dihedral.sheet: the
+rotation eta -> eps eta is k -> k + 2, conjugation k -> 2 - k (mod 10).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import MU, SHEET_COUNT, SheetedPoint, _log_eta0
+from .conformal import MU, SHEET_COUNT, _log_eta0
 from .geometry import INNER_RADIUS, OUTER_RADIUS
 
 #: continuation basepoint, comfortably away from 0, a, b
@@ -179,37 +182,6 @@ def genus_from_total_ramification(r: int) -> int:
 
 def genus_riemann_hurwitz(reports: list[BranchPointReport] | None = None) -> int:
     return genus_from_total_ramification(total_ramification(reports))
-
-
-# Curve symmetries acting on sheeted points.  The rotation multiplies eta by
-# eps = e^{2 pi i/5} (sheet k -> k+2); conjugation sends (xi, eta) to
-# (conj xi, conj eta), which under the branch convention is k -> (2-k) mod 10.
-
-def rotate_sheeted(p: SheetedPoint) -> SheetedPoint:
-    return SheetedPoint(p.xi, (p.sheet + 2) % SHEET_COUNT)
-
-
-def conjugate_sheeted(p: SheetedPoint) -> SheetedPoint:
-    return SheetedPoint(p.xi.conjugate(), (2 - p.sheet) % SHEET_COUNT)
-
-
-def sheet_action(word: str):
-    """Map on sheeted points for a word in the generators 'R' and 'U'.
-
-    Letters act right-to-left, matching operator-product notation: "RU"
-    applies the conjugation first, then the rotation.
-    """
-    ops = {"R": rotate_sheeted, "U": conjugate_sheeted}
-    for ch in word:
-        if ch not in ops:
-            raise ValueError(f"invalid generator {ch!r}; use 'R' and 'U'")
-
-    def act(p: SheetedPoint) -> SheetedPoint:
-        for ch in reversed(word):
-            p = ops[ch](p)
-        return p
-
-    return act
 
 
 def connectivity_check(perms: list[SheetPermutation] | None = None) -> bool:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +42,56 @@ SIDE_C = 2.0 * math.sin(math.pi / 5.0)              # c = |AB|
 #: Point-classification tolerance: well above 1e-14 arithmetic noise, well
 #: below the smallest feature size (~0.1).
 TOL_GEO = 1e-9
+
+#: the center's id after the vertex ids 0..9; every Dihedral fixes it
+CENTER_ID = 10
+
+
+class Dihedral(namedtuple("Dihedral", "j l")):
+    """The frame's symmetry z -> zeta^j conj^l(z), zeta = e^{i pi/5}, with j
+    mod 10 and l mod 2: the star's R and mirrors T_m, and the curve's deck
+    rotations eta -> zeta eta with conjugation.  It sends the phase zeta^i to
+    zeta^index(i), and so acts on the indices of what sits at those phases;
+    index is the one place the law is written."""
+
+    __slots__ = ()
+
+    def __new__(cls, j: int = 0, l: int = 0):
+        return super().__new__(cls, j % 10, l % 2)
+
+    def index(self, i: int, n: int = 10) -> int:
+        return (self.j - i if self.l else self.j + i) % n
+
+    def __mul__(self, other: Dihedral) -> Dihedral:
+        """self after other."""
+        return Dihedral(self.index(other.j), self.l + other.l)
+
+    def inverse(self) -> Dihedral:
+        return self if self.l else Dihedral(-self.j)
+
+    def vertex(self, v: int) -> int:
+        """Vertex v sits at zeta^v; the center stays."""
+        return v if v == CENTER_ID else self.index(v)
+
+    def edge(self, e: int) -> int:
+        """Edge e joins vertices e and e + 1, which a mirror swaps."""
+        return (self.index(e) - self.l) % 10
+
+    def sheet(self, k: int) -> int:
+        """Sheet k carries the phase zeta^(k+4), so the image of (xi, eta_k)
+        is (conj^l xi, eta_sheet(k))."""
+        return (self.index(k + 4) - 4) % 10
+
+    def word(self, w):
+        """A translation word's letters, for even j: u_k sits at zeta^(6k)
+        and 6 = 1 (mod 5).  A tuple, or a (5, n) array's rows, as a tuple."""
+        back = self.inverse()
+        return tuple(w[back.index(k, 5)] for k in range(5))
+
+
+#: R: z -> eps z, U: z -> conj z, and T[m]: z -> eps^(2m+1) conj z, the mirror in angle (2m+1) pi/5
+R, U = Dihedral(2), Dihedral(0, 1)
+T = tuple(Dihedral(4 * m + 2, 1) for m in range(5))
 
 
 class PoleError(ValueError):
@@ -297,7 +348,8 @@ def locate_kinds(zs) -> tuple[np.ndarray, int]:
     z = np.asarray(zs, dtype=complex).ravel()
     fx, fy, wx, wy, tau_in, tau_out = _line_columns()[..., None]
     dx, dy = z.real - fx, z.imag - fy  # one row per line
-    s = dx * wy + dy * wx              # Im p
+    with np.errstate(invalid="ignore"):  # NaN where both parts are infinite: exterior
+        s = dx * wy + dy * wx              # Im p
     kinds = ((s >= 0.0).sum(axis=0) >= 4).astype(np.int8)  # INTERIOR or EXTERIOR
     c = star.center
     near = ((np.abs(s) <= tol).any(axis=0)

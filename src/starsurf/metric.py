@@ -9,14 +9,11 @@ unit speed along a fixed direction (the real axis on sheet 0, rotated by
 e^{i pi k/5} on sheet k).
 
 Sector convention for the star-level developing map: sheet k develops into
-sector sigma(k) with
-
-    sigma(2j) = (2 + j) mod 5,      sigma(2j + 1) = j mod 5,
-
-the unique sheet-constant choice that intertwines both curve symmetries
-with the plane dihedral action (rotation literally, conjugation literally).
-Sheets k and k+5 share a sector; they are the two preimages of each star
-point under the developing map.
+sector sigma(k) = 3 (k + 4) mod 5, whose rotation eps^sigma is +/- the
+sheet's phase zeta^(k+4): the unique sheet-constant choice that intertwines
+the curve symmetries (Dihedral.sheet) with the plane's, rotation and
+conjugation literally.  Sheets k and k+5 share a sector; they are the two
+preimages of each star point under the developing map.
 """
 
 from __future__ import annotations
@@ -28,10 +25,6 @@ from dataclasses import dataclass
 from .conformal import (PREVERTICES, SHEET_COUNT, SHEET_PHASE, F_Kstar, F_Q,
                         LeftDomain, SheetedPoint, SingularFiber, _in_closed_triangle,
                         compute_k, continue_inverse, eta_ref, f_prime)
-
-#: sheet -> sector of the star-level developing map
-SECTOR_OF_SHEET = (2, 0, 3, 1, 4, 2, 0, 3, 1, 4)
-
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -91,7 +84,7 @@ def push_delta(p: SheetedPoint, v: TangentVector) -> complex:
 
 
 def sector_of_sheet(sheet: int) -> int:
-    return SECTOR_OF_SHEET[sheet % SHEET_COUNT]
+    return 3 * (sheet + 4) % 5
 
 
 def delta_star(p: SheetedPoint, nu: int | None = None) -> complex:

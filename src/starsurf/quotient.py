@@ -2,11 +2,10 @@
 
 Everything here is index arithmetic on the star's ids: vertex v sits at
 angle v pi/5 (even v inner, odd v outer), edge e joins vertices e and
-e + 1, and the center has its own id CENTER_ID.  On these ids the rotation
-R: z -> eps z is v -> v + 2 and e -> e + 2, and the reflection
-T_m = R^{2m+1} U: z -> eps^{2m+1} conj(z), which fixes the ray at angle
-(2m+1) pi/5, is v -> 2 + 4m - v and e -> 1 + 4m - e (mod 10).  Points are
-read from star.vertices only for the corner angles.
+e + 1, and the center has its own id CENTER_ID.  The rotation R: z -> eps z
+and the reflection T_m = R^{2m+1} U: z -> eps^{2m+1} conj(z), which fixes
+the ray at angle (2m+1) pi/5, act on them as the geometry.Dihedral elements
+R and T[m].  Points are read from star.vertices only for the corner angles.
 
 Each boundary edge is identified with the collinear edge on the same chord,
 its image under one T_m, giving five unordered pairs.  The triangulation of
@@ -26,29 +25,11 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import build_star
-
-#: the center's id; R and every T_m fix it
-CENTER_ID = 10
+from .geometry import CENTER_ID, R, T, build_star
 
 
 class CellCountMismatch(RuntimeError):
     """The census is not that of a closed orientable surface."""
-
-
-def rotate(i: int) -> int:
-    """R on a vertex or edge id: i -> i + 2; the center stays."""
-    return i if i == CENTER_ID else (i + 2) % 10
-
-
-def reflect_vertex(m: int, v: int) -> int:
-    """T_m on a vertex id: v -> 2 + 4m - v; the center stays."""
-    return v if v == CENTER_ID else (2 + 4 * m - v) % 10
-
-
-def reflect_edge(m: int, e: int) -> int:
-    """T_m on an edge id: e -> 1 + 4m - e, the edge's ends swapped."""
-    return (1 + 4 * m - e) % 10
 
 
 @dataclass(frozen=True)
@@ -75,9 +56,9 @@ def edge_pairing() -> EdgePairing:
     """Pair each boundary edge with the T_m image on its own line."""
     # edges e and e' share a line for one m alone: 4m = e + e' - 1 (mod 10)
     line_of = build_star().line_of_edge
-    partner_m = [next(m for m in range(5) if reflect_edge(m, e) in line_of(e).edge_ids)
+    partner_m = [next(m for m in range(5) if T[m].edge(e) in line_of(e).edge_ids)
                  for e in range(10)]
-    pairs = tuple(sorted({tuple(sorted((e, reflect_edge(m, e))))
+    pairs = tuple(sorted({tuple(sorted((e, T[m].edge(e))))
                           for e, m in enumerate(partner_m)}))
     ordered = pairs + tuple(p[::-1] for p in pairs)
     return EdgePairing(
@@ -90,8 +71,8 @@ def edge_pairing() -> EdgePairing:
 
 
 def _rotation_orbits(items, key=tuple) -> tuple[tuple[int, ...], ...]:
-    """R-orbits on the indices of items, each a tuple of ids; key=frozenset
-    takes the tuples as unordered."""
+    """R-orbits on the indices of items, each a tuple of vertex or edge ids,
+    on which R acts alike; key=frozenset takes the tuples as unordered."""
     index = {key(it): n for n, it in enumerate(items)}
     seen, orbits = set(), []
     for n in range(len(items)):
@@ -99,7 +80,7 @@ def _rotation_orbits(items, key=tuple) -> tuple[tuple[int, ...], ...]:
         while n not in seen:
             orbit.append(n)
             seen.add(n)
-            n = index[key(map(rotate, items[n]))]
+            n = index[key(map(R.vertex, items[n]))]
         if orbit:
             orbits.append(tuple(orbit))
     return tuple(orbits)
@@ -185,7 +166,7 @@ def quotient_euler_genus(census: TriangulationCensus | None = None) -> tuple[int
     # glues copy 1's e to copy 0's T_m(e)
     for e, m in enumerate(census.pairing.reflection_of_edge):
         for v in (e, (e + 1) % 10):
-            parent[find((0, v))] = find((1, reflect_vertex(m, v)))
+            parent[find((0, v))] = find((1, T[m].vertex(v)))
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for corner in [(c, v) for c in (0, 1) for v in (*census.vertices, CENTER_ID)]:
         classes.setdefault(find(corner), []).append(corner)

@@ -6,10 +6,10 @@ eps^{3k} spacing is what makes the index law
 
     tau_{(k+2l) mod 5} o R^l = R^l o tau_k
 
-hold exactly, since R^l u_k = u_{(k+2l) mod 5}.  The full motion group is
-generated by the dihedral rotations/reflections about the star center
-together with these translations; an element (j, ell, word) acts as
-z -> R^j U^ell z + t, t the value of its integer translation word.
+hold exactly, since R^l u_k = u_{(k+2l) mod 5}: R^j U^ell = Dihedral(2j, ell)
+moves a word's letters (Dihedral.word).  The motion group is generated by
+the star's rotations and reflections and these translations; an element
+(j, ell, word) acts as z -> R^j U^ell z + t, t its translation word's value.
 
 Lattice points are exact.  2 u_k = eps^{3k}, so every translation, center
 and star vertex lies in the cyclotomic ring Z[eps] and is stored as an
@@ -37,8 +37,8 @@ from operator import add
 import numpy as np
 
 from .config import UsageError
-from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, build_star, locate_kinds,
-                       point_location)
+from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, Dihedral, R, U, build_star,
+                       locate_kinds, point_location)
 from .quotient import edge_pairing
 
 
@@ -56,17 +56,19 @@ class CheckFailure(AssertionError):
 class MotionGroupElement:
     """(R^j U^ell, word): z -> eps^j * (conj z if ell else z) + t, where t is
     the value of the integer translation word, kept as given.  Elements are
-    equal when their (j, ell, key) are."""
+    equal when their (j, ell, key) are.  R^j U^ell is Dihedral(2j, ell)."""
 
     j: int = 0
     ell: int = 0
     word: tuple[int, ...] = field(default=(0,) * 5, compare=False)
     key: tuple[int, ...] = field(init=False, repr=False)
+    linear: Dihedral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "j", self.j % 5)
         object.__setattr__(self, "ell", self.ell % 2)
         object.__setattr__(self, "key", _key(self.word))
+        object.__setattr__(self, "linear", Dihedral(2 * self.j, self.ell))
 
     def __call__(self, z):
         """The image of a point or of an array of points."""
@@ -74,9 +76,8 @@ class MotionGroupElement:
         return EPSILON ** self.j * w + _word_value(self.word)
 
     def inverse(self) -> "MotionGroupElement":
-        j = self.j if self.ell else -self.j
-        return MotionGroupElement(j, self.ell,
-                                  tuple(-l for l in _word_act(j, self.ell, self.word)))
+        a = self.linear.inverse()
+        return MotionGroupElement(a.j // 2, a.l, tuple(-l for l in a.word(self.word)))
 
 
 def tau(k: int) -> MotionGroupElement:
@@ -92,14 +93,11 @@ def reflection(m: int) -> MotionGroupElement:
 
 
 def multiply(g1: MotionGroupElement, g2: MotionGroupElement) -> MotionGroupElement:
-    """Composition g1 after g2 as affine maps.
-
-    The rotation part is R^{j1+j2} when l1 is even and R^{j1-j2} when l1 is
-    odd; the translation word is R^{j1} U^{l1}(word2) + word1.
-    """
-    j = g1.j + g2.j if g1.ell == 0 else g1.j - g2.j
-    return MotionGroupElement(j, g1.ell + g2.ell,
-                              tuple(map(add, _word_act(g1.j, g1.ell, g2.word), g1.word)))
+    """Composition g1 after g2 as affine maps: the linear parts' product,
+    and the translation word R^{j1} U^{l1}(word2) + word1."""
+    a = g1.linear * g2.linear
+    return MotionGroupElement(a.j // 2, a.l,
+                              tuple(map(add, g1.linear.word(g2.word), g1.word)))
 
 
 @dataclass(frozen=True)
@@ -144,25 +142,10 @@ def _word_value(word) -> complex:
     return sum(l * v for l, v in zip(word, _two_u()))
 
 
-def _word_rotate(word: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Index action of R^j on lattice words: R u_k = u_{(k+2) mod 5}."""
-    return tuple(word[(k - 2 * j) % 5] for k in range(5))
-
-
-def _word_conjugate(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Index action of U: U u_k = u_{(-k) mod 5}."""
-    return tuple(word[(-k) % 5] for k in range(5))
-
-
-def _word_act(j: int, ell: int, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Index action of R^j U^ell on lattice words."""
-    return _word_rotate(_word_conjugate(word) if ell else word, j)
-
-
 #: words of the center and the ten star vertices in build_star order: vertex
 #: 2k is eps^k a with a = eps + eps^4 = 2u_2 + 2u_3, vertex 2k+1 is
 #: eps^k (1 + eps) with 1 + eps = 2u_0 + 2u_2
-BASE_WORDS = ((0,) * 5,) + tuple(_word_rotate(w, k) for k in range(5)
+BASE_WORDS = ((0,) * 5,) + tuple(Dihedral(2 * k).word(w) for k in range(5)
                                  for w in ((0, 0, 1, 1, 0), (1, 0, 1, 0, 0)))
 
 
@@ -272,7 +255,7 @@ def _fixed_set_distances(zs: np.ndarray, ball) -> np.ndarray:
     values, _costs, words = ball
     dist = np.full(len(zs), np.inf)
     for j in range(5):
-        mirror = np.ptp(np.add(_word_act(j, 1, words), words), axis=0) == 0
+        mirror = np.ptp(np.add(Dihedral(2 * j, 1).word(words), words), axis=0) == 0
         across = (zs[:, None] - values[mirror] / 2) * cmath.exp(-1j * math.pi * j / 5)
         dist = np.minimum(dist, np.abs(across.imag).min(axis=1, initial=np.inf))
     # only a center whose real part is within dist of z's can lower dist
@@ -305,7 +288,7 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     base_vertices = (0.0 + 0.0j,) + build_star().vertices
     # the rotation and the reflection both permute the base vertex set
     base_keys = {_key(w) for w in BASE_WORDS}
-    if any({_key(_word_rotate(w, 1)), _key(_word_conjugate(w))} - base_keys
+    if any({_key(R.word(w)), _key(U.word(w))} - base_keys
            for w in BASE_WORDS):
         raise CheckFailure("base vertex set is not symmetric")
 
@@ -316,7 +299,7 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
                        for ci, bi in vsamples]).reshape(-1, 5).T
     for g in elements:
         images = g(vs)
-        predicted = _word_value(tuple(map(add, _word_act(g.j, g.ell, vwords), g.word)))
+        predicted = _word_value(tuple(map(add, g.linear.word(vwords), g.word)))
         bad = np.flatnonzero(np.abs(images - predicted) > 1e-9)
         if bad.size:
             raise CheckFailure(f"invariance: {g} maps vpoint {vs[bad[0]]} to "

@@ -11,8 +11,8 @@ from starsurf.billiards import (_FLIPS, ON_LINE, BilliardState, CenterCrossing,
                                 next_event, reflect_dir, simulate)
 from starsurf import verify
 from starsurf.config import UsageError
-from starsurf.geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, TOL_GEO, StarPolygon,
-                               build_star, locate_kinds, point_location)
+from starsurf.geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, TOL_GEO, Dihedral,
+                               StarPolygon, T, build_star, locate_kinds, point_location)
 from starsurf.quotient import edge_pairing
 
 STAR = build_star()
@@ -296,6 +296,28 @@ def test_lift_tags_match_pairing_table():
         r, s = STAR.edge_endpoints(other)
         tp, tq = (_mirror(z, (2 * ev.pairing_m + 1) * math.pi / 5) for z in (p, q))
         assert min(abs(tp - r) + abs(tq - s), abs(tp - s) + abs(tq - r)) < 1e-12
+
+
+def test_edge_mirrors_are_the_half_turn_after_the_pairing_reflection():
+    # simulate's code of edge e's mirror zeta^m_e conj, 2 m_e + 1, is that of
+    # the half-turn after e's pairing reflection T_m: the two tables agree
+    pair_m = edge_pairing().reflection_of_edge
+    for e in range(10):
+        assert _FLIPS[e] == 2 * (Dihedral(5) * T[pair_m[e]]).j + 1
+
+
+def test_lift_sectors_hold_the_reflection_points():
+    # a reflection's sector tag is the sector its position's angle lies in
+    rng = random.Random(41)
+    for _ in range(40):
+        z0 = rng.uniform(0.05, 0.55) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        d = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        sector = 0
+        for ev in lift_trajectory(simulate(z0, d, 100)).events:
+            if ev.kind == "reflect":
+                angle = math.atan2(ev.position.imag, ev.position.real) % (2 * math.pi)
+                sector = int(angle // (2 * math.pi / 5)) % 5
+            assert ev.sector == sector
 
 
 def test_lift_rejects_center_crossing():

@@ -231,13 +231,39 @@ def test_billiard_bad_start_is_a_usage_error(capsys, z0):
     ("quad_nodes = 2", ["map", "eval", "--xi", "0.2,0.5"]),
     ("", ["map", "eval", "--xi", "0.6180339887498949,0"]),  # the fiber over a
     ("", ["tiling", "--depth", "9"]),
-], ids=["config-cast", "config-range", "singular-fiber", "tiling-depth"])
+    ("", ["map", "eval", "--xi", "1e200,0"]),  # eta overflows past the far bound
+    ("", ["map", "eval", "--xi", "0,1e155"]),
+], ids=["config-cast", "config-range", "singular-fiber", "tiling-depth", "far-xi-real",
+        "far-xi-imag"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, config, argv):
     cfg = tmp_path / "starsurf.cfg"
     cfg.write_text(config + "\n")
     code = main(["--config", str(cfg), *argv])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["star"], ["quotient"], ["genus"], ["verify"], ["tiling"],
+    ["billiard", "--z0", "0.1,0.1", "--theta", "0"], ["map", "eval", "--xi", "1,1"],
+    ["flow", "--xi", "1.1,0.9", "--t", "0.01"],
+], ids=lambda argv: argv[0] if argv[0] != "map" else "map-eval")
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, argv):
+    # every command reads --config, before it runs
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        assert main(["--config", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read the config file") and not captured.out
+
+
+def test_tiling_check_reads_the_config_seed(tmp_path, capsys):
+    from starsurf import tiling
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 3\n")
+    code, out = run(capsys, "--config", str(cfg), "tiling", "--depth", "2", "--check")
+    assert code == 0
+    assert json.loads(out)["fundamental_domain"] == tiling.fundamental_domain_check(
+        seed=3, depth=2)
 
 
 def test_usage_error_exit_code(capsys):

@@ -12,6 +12,7 @@ from starsurf.conformal import (BRANCH_PHASE, CORNERS, KITE_CORNERS, MU, P, P_IN
                                 SheetedPoint, SingularFiber, _inv_eta, _series_tables,
                                 compute_k, corner_angle, eta, eta_ref, f, f_prime)
 from starsurf import conformal
+from starsurf.config import UsageError
 from starsurf.geometry import EPSILON, INNER_RADIUS, OUTER_RADIUS, build_triangle
 from starsurf.quadrature import QuadratureRule, _jacobi_nodes, _panel_gj, clog, contour, panel
 
@@ -411,6 +412,31 @@ def test_sector_map_is_rotated_kite_map():
         assert abs(F_Kstar(xi, nu) - EPSILON ** nu * base) < 1e-12
     with pytest.raises(ValueError):
         F_Kstar(xi, 5)
+
+
+#: far points of the closed upper half-plane, up to the float range
+FAR = [1e155j, 1e200, -1e160, 1e300 + 1e300j, 1.7e308 + 1.7e308j]
+
+
+def test_F_T_is_finite_at_every_far_point():
+    # F_T is analytic at infinity (the integrand decays like xi^-2), and
+    # from |xi| ~ 1e17 it is its value there to rounding
+    limit = F_T(1e17j)
+    for xi in FAR + [1e150j, -1e150]:
+        assert abs(F_T(xi) - limit) <= 1e-15
+    assert np.all(np.abs(F_T(np.array(FAR + [0.3 + 0.4j]))[:-1] - limit) <= 1e-15)
+    # a far point in a batch leaves the others' values alone
+    assert F_T(np.array([0.3 + 0.4j, 1e200]))[0] == F_T(np.array([0.3 + 0.4j, 0.5j]))[0]
+
+
+@pytest.mark.parametrize("xi", [1e151j, -1e200, 1e300 + 1e300j])
+def test_eta_rejects_points_beyond_the_far_bound(xi):
+    # |eta| ~ |xi|^2 leaves the float range near |xi| = 1.3e154
+    with pytest.raises(UsageError):
+        eta(xi, 0)
+    with pytest.raises(UsageError):
+        SheetedPoint(xi, 3)
+    assert abs(eta(1e150j, 0)) < 1e301
 
 
 def test_F_T_rejects_lower_half_plane():

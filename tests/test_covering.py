@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from starsurf.conformal import MU, PREVERTICES, SheetedPoint
 from starsurf.covering import (BASEPOINT, ContinuationAmbiguity,
                                NonIntegralGenus, SheetPermutation,
-                               conjugate_sheeted, connectivity_check,
+                               connectivity_check,
                                genus_from_total_ramification,
                                genus_riemann_hurwitz, monodromy,
-                               ramification_report, rotate_sheeted,
-                               sheet_action, total_ramification)
-from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS
+                               ramification_report, total_ramification)
+from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS, Dihedral, R, U
 
 #: continuation around each singular value shifts sheets by the numerator of
 #: the local exponent: eta ~ C (xi - s)^{e/10} picks up e^{2 pi i e/10}, which
@@ -130,9 +129,14 @@ def test_sheet_permutation_validation():
         SheetPermutation((0,) * 10)
 
 
+def _act(g: Dihedral, p: SheetedPoint) -> SheetedPoint:
+    """g on a sheeted point: xi -> conj^l xi, and the sheet by g.sheet."""
+    return SheetedPoint(p.xi.conjugate() if g.l else p.xi, g.sheet(p.sheet))
+
+
 def test_rotation_action_shifts_by_two():
     p = SheetedPoint(0.3 + 0.4j, 1)
-    q = rotate_sheeted(p)
+    q = _act(R, p)
     assert q.sheet == 3 and q.xi == p.xi
     # multiplying eta by eps moves two sheet steps
     assert abs(q.eta - cmath.exp(2j * math.pi / 5) * p.eta) < 1e-14
@@ -143,32 +147,29 @@ def test_conjugation_action_matches_branch_data():
     for _ in range(50):
         p = SheetedPoint(complex(rng.uniform(-1.5, 2.0), rng.uniform(0.05, 1.5)),
                          rng.randrange(10))
-        q = conjugate_sheeted(p)
+        q = _act(U, p)
         assert q.xi == p.xi.conjugate()
         assert abs(q.eta - p.eta.conjugate()) < 1e-12
         # involution
-        assert conjugate_sheeted(q) == p
+        assert _act(U, q) == p
 
 
 def test_dihedral_relations_on_sheeted_points():
     p = SheetedPoint(0.3 + 0.4j, 1)
-    r5 = sheet_action("RRRRR")
-    assert r5(p) == p
-    uu = sheet_action("UU")
+    r5 = R * R * R * R * R
+    assert r5 == Dihedral() and _act(r5, p) == p
     rng = random.Random(3)
     for _ in range(50):
         q = SheetedPoint(complex(rng.uniform(-1, 2), rng.uniform(0.1, 1.3)),
                          rng.randrange(10))
-        assert uu(q) == q
+        assert _act(U, _act(U, q)) == q == _act(U * U, q)
     # U R = R^{-1} U as transformations
-    ur = sheet_action("UR")
-    riu = sheet_action("RRRRU")  # R^{-1} = R^4
+    r_inv = R * R * R * R  # R^{-1} = R^4
+    assert U * R == r_inv * U == R.inverse() * U
     for _ in range(20):
         q = SheetedPoint(complex(rng.uniform(-1, 2), rng.uniform(0.1, 1.3)),
                          rng.randrange(10))
-        assert ur(q) == riu(q)
-    with pytest.raises(ValueError):
-        sheet_action("RX")
+        assert _act(U, _act(R, q)) == _act(r_inv, _act(U, q)) == _act(U * R, q)
 
 
 def test_connectivity_check():

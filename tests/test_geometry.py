@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starsurf.geometry import (EPSILON, INNER_RADIUS, KINDS, OUTER_RADIUS,
-                               TOL_GEO, PoleError, ProjectivePoint, build_star,
-                               build_triangle, icosahedron_vertices,
+from starsurf.conformal import eta
+from starsurf.geometry import (CENTER_ID, EPSILON, INNER_RADIUS, KINDS, OUTER_RADIUS,
+                               TOL_GEO, Dihedral, PoleError, ProjectivePoint, R, T, U,
+                               build_star, build_triangle, icosahedron_vertices,
                                locate_kinds, point_location, stereographic_project)
+from starsurf.tiling import _word_value
 
 
 def _mirror(z: complex, angle: float) -> complex:
@@ -369,6 +371,75 @@ def test_a_non_finite_point_is_exterior(z):
     # no line comparison holds for NaN, and a far point is inside at most
     # three lines: neither can reach the four lines an interior point needs
     assert point_location(z).kind == "exterior"
-    with np.errstate(invalid="ignore"):
-        kinds, near = locate_kinds([z, 0.1 + 0.1j])
+    kinds, near = locate_kinds([z, 0.1 + 0.1j])
     assert [KINDS[k] for k in kinds] == ["exterior", "interior"] and near == 0
+
+
+# ------------------------------------------------ the frame's dihedral group
+
+ZETA = cmath.exp(1j * math.pi / 5)
+ELEMENTS = [Dihedral(j, l) for j in range(10) for l in (0, 1)]
+#: the ten that map the star onto itself
+STAR_SYMMETRIES = [g for g in ELEMENTS if g.j % 2 == 0]
+DIHEDRAL = st.sampled_from(ELEMENTS)
+#: points of the curve's base off the real axis, above or below it
+OFF_AXIS = st.builds(lambda x, y, below: complex(x, -y if below else y),
+                     st.floats(-3.0, 3.0), st.floats(0.05, 3.0), st.booleans())
+
+
+def _zeta_map(g: Dihedral):
+    """The float map of g, z -> zeta^j conj^l(z): the oracle of its actions."""
+    return lambda z: ZETA ** g.j * (z.conjugate() if g.l else z)
+
+
+def test_dihedral_constants_are_the_frame_maps():
+    z = 0.31 - 0.17j
+    assert Dihedral(12, 3) == Dihedral(2, 1) and Dihedral(-1) == Dihedral(9, 0)
+    assert abs(_zeta_map(R)(z) - EPSILON * z) < 1e-15
+    assert abs(_zeta_map(U)(z) - z.conjugate()) < 1e-15
+    assert abs(_zeta_map(Dihedral(5))(z) + z) < 1e-15  # the half-turn
+    for m, mirror in enumerate(T):
+        assert abs(_zeta_map(mirror)(z) - _mirror(z, (2 * m + 1) * math.pi / 5)) < 1e-15
+
+
+@settings(deadline=None)
+@given(DIHEDRAL, DIHEDRAL, DIHEDRAL, OFF_AXIS)
+def test_dihedral_group_laws(g, h, k, z):
+    assert (g * h) * k == g * (h * k)
+    assert g * g.inverse() == Dihedral() == g.inverse() * g
+    assert g * Dihedral() == g == Dihedral() * g
+    # the product is the composed map, and index the map on phases
+    assert abs(_zeta_map(g * h)(z) - _zeta_map(g)(_zeta_map(h)(z))) < 1e-13
+    for i in range(10):
+        assert abs(_zeta_map(g)(ZETA ** i) - ZETA ** g.index(i)) < 1e-15
+
+
+def test_dihedral_acts_on_star_ids_as_on_the_star():
+    star = build_star()
+    for g in STAR_SYMMETRIES:
+        f = _zeta_map(g)
+        assert g.vertex(CENTER_ID) == CENTER_ID
+        for v in range(10):
+            assert abs(f(star.vertices[v]) - star.vertices[g.vertex(v)]) < 1e-14
+        for e in range(10):
+            p, q = (f(z) for z in star.edge_endpoints(e))
+            r, s = star.edge_endpoints(g.edge(e))
+            if g.l:  # a mirror runs the edge the other way
+                r, s = s, r
+            assert abs(p - r) < 1e-14 and abs(q - s) < 1e-14
+
+
+@settings(deadline=None)
+@given(DIHEDRAL, st.integers(0, 9), OFF_AXIS)
+def test_dihedral_acts_on_sheets_as_on_eta(g, k, xi):
+    image = eta(xi.conjugate() if g.l else xi, g.sheet(k))
+    assert abs(image - _zeta_map(g)(eta(xi, k))) <= 1e-14 * abs(image)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(STAR_SYMMETRIES), st.tuples(*[st.integers(-8, 8)] * 5))
+def test_dihedral_acts_on_words_as_on_their_values(g, w):
+    assert abs(_word_value(g.word(w)) - _zeta_map(g)(_word_value(w))) < 1e-12
+    # the (5, n) rows of several words move alike
+    rows = np.array([w, w[::-1]]).T
+    assert np.array(g.word(rows)).T.tolist() == [list(g.word(w)), list(g.word(w[::-1]))]

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 from starsurf.conformal import (CORNERS, PREVERTICES, SHEET_COUNT, F_Q_inv,
                                 SheetedPoint, eta_ref, f_prime, sheet_values)
-from starsurf.covering import conjugate_sheeted, rotate_sheeted
-from starsurf.geometry import EPSILON, build_star, point_location
-from starsurf.metric import (Gamma, LeftDomain, SECTOR_OF_SHEET, TangentVector,
-                             delta, delta_star, developed_direction, flow, flow_rk4,
-                             gamma, push_delta, sector_of_sheet, unit_field, _snap)
+from starsurf.geometry import EPSILON, Dihedral, R, U, build_star, point_location
+from starsurf.metric import (Gamma, LeftDomain, TangentVector, delta, delta_star,
+                             developed_direction, flow, flow_rk4, gamma, push_delta,
+                             sector_of_sheet, unit_field, _snap)
+
+
+def _act(g: Dihedral, p: SheetedPoint) -> SheetedPoint:
+    """g on a sheeted point: xi -> conj^l xi, and the sheet by g.sheet."""
+    return SheetedPoint(p.xi.conjugate() if g.l else p.xi, g.sheet(p.sheet))
 
 
 def _random_point(rng, lower=False):
@@ -83,11 +87,11 @@ def test_group_invariance_of_metric():
         p = _random_point(rng)
         v = TangentVector(p, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         # rotation: eta multiplies by eps, d_xi unchanged
-        rp = rotate_sheeted(p)
+        rp = _act(R, p)
         rv = TangentVector(rp, v.d_xi)
         assert abs(Gamma(rp, rv, rv) - Gamma(p, v, v)) < 1e-10
         # conjugation: d_xi conjugates
-        up = conjugate_sheeted(p)
+        up = _act(U, p)
         uv = TangentVector(up, v.d_xi.conjugate())
         assert abs(Gamma(up, uv, uv) - Gamma(p, v, v)) < 1e-10
 
@@ -110,20 +114,23 @@ def test_sector_map_structure():
         assert sector_of_sheet((2 - k) % 10) == (-sector_of_sheet(k)) % 5
     # antipodal sheets develop into the same sector
     for k in range(5):
-        assert SECTOR_OF_SHEET[k] == SECTOR_OF_SHEET[k + 5]
-    assert sorted(set(SECTOR_OF_SHEET)) == [0, 1, 2, 3, 4]
+        assert sector_of_sheet(k) == sector_of_sheet(k + 5)
+    assert sorted({sector_of_sheet(k) for k in range(10)}) == [0, 1, 2, 3, 4]
+    # the table the formula replaced: sheet 2j to sector 2 + j, 2j + 1 to j
+    assert [sector_of_sheet(k) for k in range(10)] == [2, 0, 3, 1, 4, 2, 0, 3, 1, 4]
 
 
 def test_delta_star_equivariance():
+    # the ten star symmetries (even j) on the curve and on the plane, from
+    # points above and below the real axis
     rng = random.Random(8)
-    for _ in range(20):
-        p = _random_point(rng, lower=rng.random() < 0.5)
-        lhs = delta_star(rotate_sheeted(p))
-        rhs = EPSILON * delta_star(p)
-        assert abs(lhs - rhs) < 1e-8
-        lhs = delta_star(conjugate_sheeted(p))
-        rhs = delta_star(p).conjugate()
-        assert abs(lhs - rhs) < 1e-8
+    for lower in (False, True):
+        for _ in range(4):
+            p = _random_point(rng, lower=lower)
+            for g in (Dihedral(j, l) for j in range(0, 10, 2) for l in (0, 1)):
+                z = delta_star(p)
+                rhs = EPSILON ** (g.j // 2) * (z.conjugate() if g.l else z)
+                assert abs(delta_star(_act(g, p)) - rhs) < 1e-8
 
 
 def test_delta_star_image_in_star():

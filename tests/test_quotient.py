@@ -1,9 +1,8 @@
 import cmath
 import math
 
-from starsurf.geometry import EPSILON, build_star
-from starsurf.quotient import (CENTER_ID, edge_pairing, quotient_euler_genus,
-                               reflect_edge, reflect_vertex, rotate, triangulate)
+from starsurf.geometry import EPSILON, R, T, U, build_star
+from starsurf.quotient import CENTER_ID, edge_pairing, quotient_euler_genus, triangulate
 
 STAR = build_star()
 
@@ -18,74 +17,74 @@ def _T(m: int):
     return lambda z: EPSILON ** (2 * m + 1) * z.conjugate()
 
 
-def _rotate_back(i: int) -> int:
-    return rotate(rotate(rotate(rotate(i))))
-
-
 def test_rotation_on_ids_matches_eps_z():
     for v in range(10):
-        assert abs(_R(STAR.vertices[v]) - STAR.vertices[rotate(v)]) < 1e-14
+        assert abs(_R(STAR.vertices[v]) - STAR.vertices[R.vertex(v)]) < 1e-14
     for e in range(10):
         p, q = STAR.edge_endpoints(e)
-        r, s = STAR.edge_endpoints(rotate(e))
+        r, s = STAR.edge_endpoints(R.edge(e))
         assert abs(_R(p) - r) < 1e-14 and abs(_R(q) - s) < 1e-14
-    assert rotate(CENTER_ID) == CENTER_ID
+    assert R.vertex(CENTER_ID) == CENTER_ID
 
 
 def test_reflections_on_ids_match_the_float_maps():
     for m in range(5):
-        T = _T(m)
+        mirror = _T(m)
         for v in range(10):
-            assert abs(T(STAR.vertices[v]) - STAR.vertices[reflect_vertex(m, v)]) < 1e-14
+            assert abs(mirror(STAR.vertices[v]) - STAR.vertices[T[m].vertex(v)]) < 1e-14
         for e in range(10):
             # T_m reverses orientation: the image edge runs the other way
             p, q = STAR.edge_endpoints(e)
-            r, s = STAR.edge_endpoints(reflect_edge(m, e))
-            assert abs(T(p) - s) < 1e-14 and abs(T(q) - r) < 1e-14
-        assert reflect_vertex(m, CENTER_ID) == CENTER_ID
+            r, s = STAR.edge_endpoints(T[m].edge(e))
+            assert abs(mirror(p) - s) < 1e-14 and abs(mirror(q) - r) < 1e-14
+        assert T[m].vertex(CENTER_ID) == CENTER_ID
 
 
 def test_dihedral_relations_on_ids():
+    back = R.inverse()
     for m in range(5):
+        # R T_m R^-1 = T_{m+1}, as elements and on ids
+        assert R * T[m] * back == T[(m + 1) % 5]
         for i in range(10):
-            assert reflect_vertex(m, reflect_vertex(m, i)) == i
-            assert reflect_edge(m, reflect_edge(m, i)) == i
-            # R T_m R^-1 = T_{m+1}
-            assert rotate(reflect_vertex(m, _rotate_back(i))) == reflect_vertex((m + 1) % 5, i)
-            assert rotate(reflect_edge(m, _rotate_back(i))) == reflect_edge((m + 1) % 5, i)
+            assert T[m].vertex(T[m].vertex(i)) == i
+            assert T[m].edge(T[m].edge(i)) == i
+            assert R.vertex(T[m].vertex(back.vertex(i))) == T[(m + 1) % 5].vertex(i)
+            assert R.edge(T[m].edge(back.edge(i))) == T[(m + 1) % 5].edge(i)
     for i in range(10):
-        assert _rotate_back(rotate(i)) == i and rotate(i) != i
+        assert back.vertex(R.vertex(i)) == i and R.vertex(i) != i
 
 
 def test_reflections_are_involutions_fixing_their_rays():
     # T_m fixes exactly the two vertices on its axis: the outer vertex
     # 2m + 1 on the ray and the inner vertex 2m + 6 opposite it
     for m in range(5):
-        fixed = [v for v in range(10) if reflect_vertex(m, v) == v]
+        fixed = [v for v in range(10) if T[m].vertex(v) == v]
         assert fixed == sorted({2 * m + 1, (2 * m + 6) % 10})
-        assert all(reflect_vertex(m, reflect_vertex(m, v)) == v for v in range(10))
-        assert all(reflect_edge(m, e) != e for e in range(10))
+        assert all(T[m].vertex(T[m].vertex(v)) == v for v in range(10))
+        assert all(T[m].edge(e) != e for e in range(10))
 
 
 def test_fixed_ray_angles():
     for m in range(5):
         ray = cmath.exp(1j * (2 * m + 1) * math.pi / 5)
         for v in range(10):
-            if reflect_vertex(m, v) == v:
+            if T[m].vertex(v) == v:
                 assert abs((STAR.vertices[v] / ray).imag) < 1e-14
 
 
 def test_reflection_composition_identity():
     # T_1 = R^3 U on ids: U (conjugation) is v -> -v
+    assert T[1] == R * R * R * U
     for v in range(10):
-        assert reflect_vertex(1, v) == rotate(rotate(rotate(-v % 10)))
+        assert U.vertex(v) == -v % 10
+        assert T[1].vertex(v) == R.vertex(R.vertex(R.vertex(U.vertex(v))))
 
 
 def test_reflections_preserve_the_star():
     for m in range(5):
-        assert sorted(reflect_vertex(m, v) for v in range(10)) == list(range(10))
-        assert sorted(reflect_edge(m, e) for e in range(10)) == list(range(10))
-        assert all(reflect_vertex(m, v) % 2 == v % 2 for v in range(10))
+        assert sorted(T[m].vertex(v) for v in range(10)) == list(range(10))
+        assert sorted(T[m].edge(e) for e in range(10)) == list(range(10))
+        assert all(T[m].vertex(v) % 2 == v % 2 for v in range(10))
 
 
 def test_edge_pairing_structure():
@@ -104,7 +103,7 @@ def test_edge_pairing_structure():
 def test_edge_pairing_reflections_swap_partners():
     pairing = edge_pairing()
     for (e0, e1), m in zip(pairing.pairs, pairing.reflection_of_pair):
-        assert reflect_edge(m, e0) == e1 and reflect_edge(m, e1) == e0
+        assert T[m].edge(e0) == e1 and T[m].edge(e1) == e0
         p, q = STAR.edge_endpoints(e0)
         r, s = STAR.edge_endpoints(e1)
         t = _T(m)
@@ -161,7 +160,7 @@ def test_census_faces_are_the_star_triangles():
 def test_rotation_acts_freely_on_faces():
     census = triangulate()
     for face in census.faces:
-        rotated = tuple(map(rotate, face))
+        rotated = tuple(map(R.vertex, face))
         assert rotated in census.faces and set(rotated) != set(face)
 
 

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsurf.geometry import (CENTER, EPSILON, EXTERIOR, INNER_RADIUS, INTERIOR,
-                               apothem, build_star, locate_kinds, point_location)
-from starsurf.quotient import edge_pairing, reflect_vertex
+from starsurf.geometry import (CENTER, EPSILON, EXTERIOR, INNER_RADIUS, INTERIOR, Dihedral,
+                               R, T, U, apothem, build_star, locate_kinds, point_location)
+from starsurf.quotient import edge_pairing
 from starsurf.tiling import (BASE_WORDS, REJECT_RADIUS, CheckFailure,
                              MotionGroupElement, _draw_elements,
                              _fixed_set_distances, _key, _lattice_words,
-                             _samples, _translation_values, _word_act,
-                             _word_conjugate, _word_rotate, _word_value,
+                             _samples, _translation_values, _word_value,
                              copies_containing, coverage_check,
                              fundamental_domain_check, generate_patch,
                              invariance_freeness_checks, multiply, reflection,
@@ -163,7 +162,7 @@ def test_reflection_acts_on_vertices_by_the_id_law():
         assert multiply(g, g) == IDENTITY
         for v in range(10):
             image = g(STAR.vertices[v])
-            assert abs(image - STAR.vertices[reflect_vertex(m, v)]) < 1e-14
+            assert abs(image - STAR.vertices[T[m].vertex(v)]) < 1e-14
             assert abs(image - _mirror(STAR.vertices[v], (2 * m + 1) * math.pi / 5)) < 1e-14
 
 
@@ -268,7 +267,7 @@ def test_freeness_margin_vanishes_on_fixed_sets():
         assert np.all(dist[:-1] < 1e-12) and dist[-1] > 1e-6
     # the mirrors found in floats are the words with R^j U(t) + t all one letter
     words = {(j, w) for j in range(5) for _t, _c, w in TRANSLATIONS
-             if len(set(map(operator.add, _word_act(j, 1, w), w))) == 1}
+             if len(set(map(operator.add, Dihedral(2 * j, 1).word(w), w))) == 1}
     assert words == {(j, w) for j, _t, w in MIRRORS} and len(words) == 205
 
 
@@ -432,7 +431,7 @@ ELEMENTS = st.builds(MotionGroupElement, st.integers(0, 4), st.integers(0, 1), W
 @settings(deadline=None)
 @given(WORDS, st.integers(0, 4), st.integers(0, 1))
 def test_word_action_is_rotation_and_conjugation(w, j, ell):
-    image = _word_rotate(_word_conjugate(w) if ell else w, j)
+    image = Dihedral(2 * j, ell).word(w)
     z = _word_value(w)
     expected = EPSILON ** j * (z.conjugate() if ell else z)
     assert abs(_word_value(_key(image)) - expected) < 1e-12
@@ -471,8 +470,8 @@ def test_base_words_are_the_star_vertices():
     base = (0j,) + STAR.vertices
     assert all(abs(_word_value(w) - v) < 1e-12 for w, v in zip(BASE_WORDS, base))
     keys = {_key(w) for w in BASE_WORDS}
-    assert {_key(_word_rotate(w, 1)) for w in BASE_WORDS} == keys
-    assert {_key(_word_conjugate(w)) for w in BASE_WORDS} == keys
+    assert {_key(R.word(w)) for w in BASE_WORDS} == keys
+    assert {_key(U.word(w)) for w in BASE_WORDS} == keys
 
 
 def test_translation_ball_has_6661_points():
@@ -540,5 +539,5 @@ def test_word_ball_is_rotation_and_reflection_invariant(w):
     # cost: the lemma that lets the carrier search classify one rotation
     cost = LEAST_COST[_key(w)]
     assert cost <= sum(map(abs, w))
-    assert LEAST_COST[_key(_word_rotate(w, 1))] == cost
-    assert LEAST_COST[_key(_word_conjugate(w))] == cost
+    assert LEAST_COST[_key(R.word(w))] == cost
+    assert LEAST_COST[_key(U.word(w))] == cost
