@@ -11,8 +11,8 @@ import cmath
 import random
 
 from starsurf.conformal import SheetedPoint
-from starsurf.metric import (Gamma, LeftDomain, delta, developed_direction,
-                             flow, unit_field)
+from starsurf.metric import (Gamma, LeftDomain, chart, delta, delta_star,
+                             developed_direction, flow, unit_field)
 
 rng = random.Random(0)
 print("Gamma(X, X) at five random sheeted points:")
@@ -42,10 +42,13 @@ for sheet in (0, 3, 7):
     p = SheetedPoint(1.1 + 0.9j, sheet)
     print(f"  sheet {sheet}: direction {developed_direction(p):.6f}")
 
-print("\ncrossing (0, a) into the lower half-plane adds 2 to the sheet:")
+print("\ncrossing (0, a) into the lower half-plane adds 2 to the sheet,")
+print("and the star-level image delta_star moves straight on:")
 p = SheetedPoint(0.3 + 0.05j, 0)
-p1 = flow(p, 0.05, direction=-1j)
-print(f"  from xi = {p.xi}, sheet {p.sheet} to xi = {p1.xi:.6f}, sheet {p1.sheet}")
+for t in (0.0, 0.02, 0.025, 0.05):
+    p1 = flow(p, t, direction=-1j)
+    print(f"  t = {t:.3f}: xi = {p1.xi:.6f}, sheet {p1.sheet}, "
+          f"chart {chart(p1)}, delta_star {delta_star(p1):.6f}")
 
 print("\nrunning for a long time leaves the kite:")
 try:

@@ -12,7 +12,7 @@ _EXPORTS = {
                 "StarPolygon Triangle apothem build_star build_triangle icosahedron_vertices "
                 "point_location stereographic_project",
     "quadrature": "DEFAULT_RULE QuadratureFailure QuadratureRule",
-    "conformal": "F_Kstar F_Q F_Q_inv F_T SheetedPoint SingularFiber compute_k eta f",
+    "conformal": "F_Q F_Q_inv F_T SheetedPoint SingularFiber compute_k eta f",
     "covering": "SheetPermutation connectivity_check genus_riemann_hurwitz monodromy "
                 "ramification_report",
     "metric": "Gamma TangentVector delta delta_star flow gamma unit_field",

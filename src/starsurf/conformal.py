@@ -184,8 +184,8 @@ def _F_T_quad(xi: complex, rule: QuadratureRule) -> complex:
     if xi.imag < -1e-12:
         raise ValueError("F_T is defined on the closed upper half-plane")
     k = compute_k()
-    if 0.0 < xi.real < 1e-100 and xi.imag <= 0.0:  # leading term, relative error O(x)
-        return complex(k * 5.0 * xi.real ** 0.2 * A ** -0.3 * B ** -0.9)
+    if 0.0 < abs(xi.real) < 1e-100 and xi.imag <= 0.0:  # leading term, relative error O(x)
+        return k * 5.0 * complex(xi.real, 0.0) ** 0.2 * A ** -0.3 * B ** -0.9
     if xi.imag <= 0.0 and xi.real >= 0.0:  # on the axis, exact endpoint exponents
         return k * sum(panel(_inv_eta, *p, rule) for p in _real_axis_chain(xi.real))
     return k * contour(_inv_eta, _path_to(xi), mu_start=MU[0.0], rule=rule)
@@ -307,6 +307,9 @@ def _F_T_array(xi: np.ndarray) -> np.ndarray:
         return _F_T_array(np.repeat(xi, 2))[:1]
     if np.any(xi.imag < -1e-12):
         raise ValueError("F_T is defined on the closed upper half-plane")
+    # a non-finite point gives nan, as F_T at it does: a regular stand-in till then
+    nonfinite = ~np.isfinite(xi)
+    xi = np.where(nonfinite, 1j, xi)
     x, y = xi.real, np.maximum(xi.imag, 0.0)
     far = np.maximum(np.abs(x), y)
     if (far > XI_FAR).any():
@@ -325,6 +328,7 @@ def _F_T_array(xi: np.ndarray) -> np.ndarray:
     const, sigma, lam, mu = regions[r].T
     out = const + sigma * np.exp(lam * clog(t) + mu * clog(s_bar).conjugate()) * acc
     out[corner] = [CORNERS[v] for v in x[corner]]
+    out[nonfinite] = complex(math.nan, math.nan)
     return out
 
 
@@ -338,13 +342,6 @@ def F_Q(xi: complex) -> complex:
     if xi.imag >= 0.0:
         return F_T(xi)
     return F_T(xi.conjugate()).conjugate()
-
-
-def F_Kstar(xi: complex, nu: int) -> complex:
-    """Sector map: eps^nu * F_Q, landing in the nu-th rotated kite of K."""
-    if not 0 <= nu < 5:
-        raise ValueError("nu must be in 0..4")
-    return cmath.exp(2j * math.pi * nu / 5) * F_Q(xi)
 
 
 class LeftDomain(RuntimeError):

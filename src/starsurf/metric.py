@@ -4,16 +4,10 @@ that the triangle map straightens.
 The plane metric is the Euclidean one.  Its pullback to the curve is
 Gamma = k^2/|eta|^2 |d xi|^2, which makes the developing maps isometries.
 The field X with d xi component eta/k has Gamma-norm 1 everywhere and is
-straightened by the triangle map: its flow advances the developed image at
-unit speed along a fixed direction (the real axis on sheet 0, rotated by
-e^{i pi k/5} on sheet k).
-
-Sector convention for the star-level developing map: sheet k develops into
-sector sigma(k) = 3 (k + 4) mod 5, whose rotation eps^sigma is +/- the
-sheet's phase zeta^(k+4): the unique sheet-constant choice that intertwines
-the curve symmetries (Dihedral.sheet) with the plane's, rotation and
-conjugation literally.  Sheets k and k+5 share a sector; they are the two
-preimages of each star point under the developing map.
+straightened by the triangle map: its flow advances F_Q(xi) at unit speed
+along zeta^c, zeta = e^{i pi/5}, with c the point's chart (chart, the one
+chart rule).  The curve is two copies of the star K, each edge glued to its
+partner, and delta_star develops a point into its copy.
 """
 
 from __future__ import annotations
@@ -22,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .conformal import (PREVERTICES, SHEET_COUNT, SHEET_PHASE, F_Kstar, F_Q,
+from .conformal import (PREVERTICES, SHEET_COUNT, SHEET_PHASE, F_Q,
                         LeftDomain, SheetedPoint, SingularFiber, _in_closed_triangle,
                         compute_k, continue_inverse, eta_ref, f_prime)
 
@@ -83,15 +77,17 @@ def push_delta(p: SheetedPoint, v: TangentVector) -> complex:
     return k / p.eta * v.d_xi
 
 
-def sector_of_sheet(sheet: int) -> int:
-    return 3 * (sheet + 4) % 5
+def chart(p: SheetedPoint) -> int:
+    """The chart c = (k - 2 [Im xi < 0]) mod 10 of p = (xi, k): p develops
+    as zeta^-c F_Q(xi), and below (0, a) eta_0 is zeta^-2 times its value
+    above, so a flow inside the kite keeps c."""
+    return (p.sheet - 2 * (p.xi.imag < 0.0)) % SHEET_COUNT
 
 
-def delta_star(p: SheetedPoint, nu: int | None = None) -> complex:
-    """Star-level developing map eps^nu * F_Q with nu read off the sheet."""
-    if nu is None:
-        nu = sector_of_sheet(p.sheet)
-    return F_Kstar(p.xi, nu)
+def delta_star(p: SheetedPoint) -> complex:
+    """Star-level developing map zeta^(5k - c) F_Q(xi), in copy k mod 2 of
+    the star: eps^((2k + [Im xi < 0]) mod 5) F_Q(xi), continuous along flows."""
+    return SHEET_PHASE[(5 * p.sheet - chart(p)) % SHEET_COUNT] * F_Q(p.xi)
 
 
 def _snap(xi: complex, w: complex) -> tuple[int, complex]:
@@ -104,31 +100,23 @@ def _snap(xi: complex, w: complex) -> tuple[int, complex]:
 
 
 def developed_direction(p0: SheetedPoint, direction: complex = 1.0) -> complex:
-    """Velocity of the developed image of the direction*X flow from p0.
-
-    e^{i pi k/5} * direction on the upper half-plane chart; the Schwarz-
-    reflected chart contributes an extra e^{-2 pi i/5} (the derivative of
-    the reflected map is k e^{-2 pi i/5}/eta_0).
-    """
-    phase = SHEET_PHASE[p0.sheet]
-    if p0.xi.imag < 0.0:
-        phase *= cmath.exp(-2j * math.pi / 5)
-    return direction * phase
+    """Velocity of F_Q along the direction*X flow from p0: zeta^c * direction
+    in p0's chart c."""
+    return direction * SHEET_PHASE[chart(p0)]
 
 
 def flow(p0: SheetedPoint, t: float, steps: int = 256,
          direction: complex = 1.0) -> SheetedPoint:
     """The real-time flow of direction * X from p0 for time t, exact to
     rounding: F_Q(xi(t)) = F_Q(xi_0) + t developed_direction(p0, direction),
-    inverted by Newton continuation from xi_0 (continue_inverse).  Below
-    (0, a), eta_0 is e^{-2 pi i/5} times its value above, so s - 2 [Im xi < 0]
-    stays fixed along the flow.  Raises LeftDomain if the developed segment
-    leaves the closed kite or ends on a singular fiber.  `steps` is unused;
-    it stays because the benchmark's workloads still pass it.
+    inverted by Newton continuation from xi_0 (continue_inverse); the end
+    keeps p0's chart.  Raises LeftDomain if the developed segment leaves the
+    closed kite or ends on a singular fiber.  `steps` is unused; it stays
+    because the benchmark's workloads still pass it.
     """
     z0 = F_Q(p0.xi)
     xi = continue_inverse(p0.xi, z0, z0 + t * developed_direction(p0, direction))
-    sheet = p0.sheet - 2 * (p0.xi.imag < 0.0) + 2 * (xi.imag < 0.0)
+    sheet = chart(p0) + 2 * (xi.imag < 0.0)
     try:
         return SheetedPoint(xi, sheet % SHEET_COUNT)
     except SingularFiber as exc:

@@ -25,8 +25,8 @@ from . import covering as cov
 from . import metric as mt
 from . import quotient as qt
 from . import tiling as tl
-from .conformal import MU, PREVERTICES, F_T, SheetedPoint, compute_k, corner_angle
-from .geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, apothem, build_star,
+from .conformal import F_T, SheetedPoint, compute_k, corner_angle
+from .geometry import (EPSILON, INNER_RADIUS, OUTER_RADIUS, Dihedral, apothem, build_star,
                        build_triangle, point_location)
 from .quadrature import QuadratureRule, panel
 
@@ -180,8 +180,11 @@ def check_map_endpoints() -> CheckResult:
 
 @_check("covering_surface")
 def check_monodromy() -> CheckResult:
-    # eta ~ (xi - s)^mu_s picks up e^{2 pi i mu_s}: 10 mu_s sheet steps
-    expected = {name: round(10 * MU[s]) % 10 for name, s in zip("0ab", PREVERTICES)}
+    # the mirrors in the two sides at a corner of angle frac pi compose to
+    # the rotation Dihedral(-10 frac): O, A, B over the prevertices 0, a, b
+    tri = build_triangle()
+    corners = zip("0ab", (tri.gamma_frac, tri.beta_frac, tri.alpha_frac))
+    expected = {name: Dihedral(int(-10 * frac)).j for name, frac in corners}
     ok = True
     detail = []
     for name, shift in expected.items():

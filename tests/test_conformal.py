@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starsurf.conformal import (BRANCH_PHASE, CORNERS, KITE_CORNERS, MU, P, P_INF, Q,
-                                SERIES_TERMS, T_CENTER, F_Kstar, F_Q, F_Q_inv, F_T, LeftDomain,
+                                SERIES_TERMS, T_CENTER, F_Q, F_Q_inv, F_T, LeftDomain,
                                 SheetedPoint, SingularFiber, _inv_eta, _series_tables,
                                 compute_k, corner_angle, eta, eta_ref, f, f_prime)
 from starsurf import conformal
 from starsurf.config import UsageError
-from starsurf.geometry import EPSILON, INNER_RADIUS, OUTER_RADIUS, build_triangle
+from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS, build_triangle
 from starsurf.quadrature import QuadratureRule, _jacobi_nodes, _panel_gj, clog, contour, panel
 
 A, B = INNER_RADIUS, OUTER_RADIUS
@@ -327,10 +327,11 @@ def test_closed_form_matches_the_quadrature_oracle(xi):
     assert abs(F_T(xi) - _oracle(xi)) <= 1e-13
 
 
-@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310])
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310, -5e-324, -1e-310])
 def test_quadrature_oracle_at_subnormal_x(x):
-    # below 1e-100 the oracle takes the leading term 5 k x^(1/5) a^(-3/10) b^(-9/10):
-    # a panel from 0 to a subnormal x would have no width to integrate over
+    # below 1e-100 the oracle takes the leading term 5 k x^(1/5) a^(-3/10) b^(-9/10),
+    # x^(1/5) from the upper side: a panel from 0 to a subnormal x would have
+    # no width to integrate over
     assert abs(_oracle(x) - F_T(x)) <= 1e-14 * abs(F_T(x))
 
 
@@ -405,15 +406,6 @@ def test_closed_form_matches_mpmath_betainc():
         assert abs(F_T(xi) - want) <= 1e-15
 
 
-def test_sector_map_is_rotated_kite_map():
-    xi = 0.45 + 0.3j
-    base = F_Q(xi)
-    for nu in range(5):
-        assert abs(F_Kstar(xi, nu) - EPSILON ** nu * base) < 1e-12
-    with pytest.raises(ValueError):
-        F_Kstar(xi, 5)
-
-
 #: far points of the closed upper half-plane, up to the float range
 FAR = [1e155j, 1e200, -1e160, 1e300 + 1e300j, 1.7e308 + 1.7e308j]
 
@@ -427,6 +419,17 @@ def test_F_T_is_finite_at_every_far_point():
     assert np.all(np.abs(F_T(np.array(FAR + [0.3 + 0.4j]))[:-1] - limit) <= 1e-15)
     # a far point in a batch leaves the others' values alone
     assert F_T(np.array([0.3 + 0.4j, 1e200]))[0] == F_T(np.array([0.3 + 0.4j, 0.5j]))[0]
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 1), complex(1, math.nan),
+                                 complex(math.inf, 1), complex(-math.inf, 0)])
+def test_F_T_array_is_nan_at_a_non_finite_point(bad):
+    # as F_T at that point, and without a warning (pytest makes warnings errors)
+    regular = [0.3 + 0.2j, 1.1 + 0.9j, 0.0, 1e200]
+    images = F_T(np.array([bad] + regular))
+    assert cmath.isnan(F_T(bad)) and cmath.isnan(images[0])
+    assert images[1:].tobytes() == F_T(np.array(regular)).tobytes()
+    assert images[1] == F_T(0.3 + 0.2j)
 
 
 @pytest.mark.parametrize("xi", [1e151j, -1e200, 1e300 + 1e300j])

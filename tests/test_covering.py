@@ -13,7 +13,7 @@ from starsurf.covering import (BASEPOINT, ContinuationAmbiguity,
                                genus_from_total_ramification,
                                genus_riemann_hurwitz, monodromy,
                                ramification_report, total_ramification)
-from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS, Dihedral, R, U
+from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS, Dihedral, R, U, build_triangle
 
 #: continuation around each singular value shifts sheets by the numerator of
 #: the local exponent: eta ~ C (xi - s)^{e/10} picks up e^{2 pi i e/10}, which
@@ -25,6 +25,24 @@ def test_monodromy_shifts_match_exponent_oracle():
     for name, shift in EXPECTED_SHIFTS.items():
         perm = monodromy(name)
         assert perm.images == SheetPermutation.shift(shift).images
+
+
+def test_monodromy_shifts_are_the_corner_rotations():
+    # the linear parts of the mirrors in a corner's outgoing and incoming
+    # sides (O -> A -> B) compose to the rotation Dihedral(-10 frac) that
+    # check 05 expects, frac pi being the corner's angle
+    tri = build_triangle()
+
+    def mirror(p, q):  # z -> e^{2 i psi} conj z, psi the side's angle
+        return Dihedral(round(10 * cmath.phase(q - p) / math.pi), 1)
+
+    sides = {"0": ((tri.O, tri.A), (tri.B, tri.O), tri.gamma_frac),
+             "a": ((tri.A, tri.B), (tri.O, tri.A), tri.beta_frac),
+             "b": ((tri.B, tri.O), (tri.A, tri.B), tri.alpha_frac)}
+    for name, (out, into, frac) in sides.items():
+        rotation = mirror(*out) * mirror(*into)
+        assert rotation == Dihedral(int(-10 * frac))
+        assert monodromy(name).images == SheetPermutation.shift(rotation.j).images
 
 
 def test_monodromy_cycle_types():

@@ -6,17 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starsurf.conformal import (CORNERS, PREVERTICES, SHEET_COUNT, F_Q_inv,
+from starsurf.conformal import (CORNERS, PREVERTICES, SHEET_COUNT, SHEET_PHASE, F_Q_inv,
                                 SheetedPoint, eta_ref, f_prime, sheet_values)
-from starsurf.geometry import EPSILON, Dihedral, R, U, build_star, point_location
+from starsurf.geometry import EPSILON, Dihedral, R, T, U, build_star, point_location
 from starsurf.metric import (Gamma, LeftDomain, TangentVector, delta, delta_star,
                              developed_direction, flow, flow_rk4, gamma, push_delta,
-                             sector_of_sheet, unit_field, _snap)
+                             unit_field, _snap)
 
 
 def _act(g: Dihedral, p: SheetedPoint) -> SheetedPoint:
     """g on a sheeted point: xi -> conj^l xi, and the sheet by g.sheet."""
     return SheetedPoint(p.xi.conjugate() if g.l else p.xi, g.sheet(p.sheet))
+
+
+def _map(g: Dihedral, z: complex) -> complex:
+    """g on the plane: z -> zeta^j conj^l(z)."""
+    return SHEET_PHASE[g.j] * (z.conjugate() if g.l else z)
 
 
 def _random_point(rng, lower=False):
@@ -105,32 +110,42 @@ def test_plane_group_invariance():
         assert abs(gamma(v.conjugate(), w.conjugate()) - gamma(v, w)) < 1e-14
 
 
-def test_sector_map_structure():
-    # rotation-literal: two sheet steps advance the sector by one
-    for k in range(10):
-        assert sector_of_sheet((k + 2) % 10) == (sector_of_sheet(k) + 1) % 5
-    # conjugation-literal: k -> (2 - k) mod 10 negates the sector
-    for k in range(10):
-        assert sector_of_sheet((2 - k) % 10) == (-sector_of_sheet(k)) % 5
-    # antipodal sheets develop into the same sector
-    for k in range(5):
-        assert sector_of_sheet(k) == sector_of_sheet(k + 5)
-    assert sorted({sector_of_sheet(k) for k in range(10)}) == [0, 1, 2, 3, 4]
-    # the table the formula replaced: sheet 2j to sector 2 + j, 2j + 1 to j
-    assert [sector_of_sheet(k) for k in range(10)] == [2, 0, 3, 1, 4, 2, 0, 3, 1, 4]
-
-
 def test_delta_star_equivariance():
-    # the ten star symmetries (even j) on the curve and on the plane, from
-    # points above and below the real axis
+    # the ten star symmetries (even j) on the curve act on the plane as
+    # Dihedral(-j, l), from points above and below the real axis
     rng = random.Random(8)
     for lower in (False, True):
-        for _ in range(4):
+        for _ in range(20):
             p = _random_point(rng, lower=lower)
+            z = delta_star(p)
             for g in (Dihedral(j, l) for j in range(0, 10, 2) for l in (0, 1)):
-                z = delta_star(p)
-                rhs = EPSILON ** (g.j // 2) * (z.conjugate() if g.l else z)
-                assert abs(delta_star(_act(g, p)) - rhs) < 1e-8
+                assert abs(delta_star(_act(g, p)) - _map(Dihedral(-g.j, g.l), z)) < 1e-15
+
+
+def _cross_down(p: SheetedPoint) -> SheetedPoint:
+    """The end of eta continued by _snap down the segment p.xi -> conj p.xi."""
+    w = p.eta
+    for i in range(1, 9):
+        xi = complex(p.xi.real, p.xi.imag * (1 - i / 4))
+        m, w = _snap(xi, w)
+    return SheetedPoint(xi, m)
+
+
+@pytest.mark.parametrize("x, shift", [(0.3, 2), (1.0, -1), (2.5, 0), (-0.5, 0)],
+                         ids=["(0,a)", "(a,b)", "(b,inf)", "(-inf,0)"])
+def test_delta_star_across_the_axis(x, shift):
+    # check 06's gluings: delta_star is continuous across the sides OA and
+    # OB, and across AB lands on the partner point T_m(z) in the other copy
+    for k in range(SHEET_COUNT):
+        p = SheetedPoint(complex(x, 1e-4), k)
+        q = _cross_down(p)
+        assert q.sheet == (k + shift) % SHEET_COUNT
+        z0, z1 = delta_star(p), delta_star(q)
+        if shift == -1:
+            assert abs(z1 - _map(T[(2 * k + 4) % 5], z0)) < 1e-15
+            assert q.sheet % 2 != k % 2
+        else:
+            assert abs(z1 - z0) < 2e-4
 
 
 def test_delta_star_image_in_star():
@@ -140,11 +155,6 @@ def test_delta_star_image_in_star():
         p = _random_point(rng, lower=rng.random() < 0.5)
         loc = point_location(delta_star(p), tol=1e-7)
         assert loc.kind != "exterior"
-
-
-def test_delta_star_nu_override():
-    p = SheetedPoint(0.4 + 0.3j, 1)
-    assert abs(delta_star(p, nu=2) - EPSILON ** 2 * delta(p)) < 1e-12
 
 
 def _nearest_of_ten(xi, w):
