@@ -5,9 +5,9 @@ The plane metric is the Euclidean one.  Its pullback to the curve is
 Gamma = k^2/|eta|^2 |d xi|^2, which makes the developing maps isometries.
 The field X with d xi component eta/k has Gamma-norm 1 everywhere and is
 straightened by the triangle map: its flow advances F_Q(xi) at unit speed
-along zeta^c, zeta = e^{i pi/5}, with c the point's chart (chart, the one
-chart rule).  The curve is two copies of the star K, each edge glued to its
-partner, and delta_star develops a point into its copy.
+along zeta^c, zeta = e^{i pi/5}, with c = chart(p) the start's chart.  The
+curve is two copies of the star K, each edge glued to its partner, and
+delta_star develops a point into its copy.
 """
 
 from __future__ import annotations
