@@ -8,6 +8,7 @@ five rotated copies of the (1,2,7) triangle doubled across one edge.
 
 import math
 import os
+import pathlib
 
 from starsurf.geometry import (PoleError, build_star, build_triangle,
                                icosahedron_vertices, point_location,
@@ -51,5 +52,5 @@ for z in images:
 print("\nevery projected vertex is a star vertex (or its center)")
 
 os.makedirs("demos/output", exist_ok=True)
-star_scene().write("demos/output/star.svg")
+pathlib.Path("demos/output/star.svg").write_text(star_scene().to_svg())
 print("wrote demos/output/star.svg")

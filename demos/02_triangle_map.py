@@ -10,6 +10,7 @@ closed form; the corner angles below are measured by quadrature.
 import cmath
 import math
 import os
+import pathlib
 
 from starsurf.conformal import F_T, compute_k, corner_angle, eta
 from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS, build_star
@@ -41,5 +42,5 @@ for sheet in range(3):
 print("  ...")
 
 os.makedirs("demos/output", exist_ok=True)
-map_grid_scene(build_star(), 12).write("demos/output/map_grid.svg")
+pathlib.Path("demos/output/map_grid.svg").write_text(map_grid_scene(build_star(), 12).to_svg())
 print("wrote demos/output/map_grid.svg (grid image inside the triangle)")

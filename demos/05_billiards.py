@@ -7,6 +7,7 @@ what makes these motions geodesics of the flat identified surface.
 
 import cmath
 import os
+import pathlib
 
 from starsurf.billiards import develop, lift_trajectory, simulate
 from starsurf.geometry import INNER_RADIUS
@@ -38,5 +39,5 @@ print(f"\nspeed check: path length {total:.9f} = elapsed time "
       f"{traj.total_time:.9f}")
 
 os.makedirs("demos/output", exist_ok=True)
-trajectory_scene(traj).write("demos/output/billiard.svg")
+pathlib.Path("demos/output/billiard.svg").write_text(trajectory_scene(traj).to_svg())
 print("wrote demos/output/billiard.svg")

@@ -8,6 +8,7 @@ demo shows both the clean desk-scale checks and that non-uniqueness.
 """
 
 import os
+import pathlib
 
 from starsurf.geometry import apothem, point_location
 from starsurf.svgout import patch_scene
@@ -27,14 +28,14 @@ print(f"\ndepth-3 patch: {len(patch.centers)} star copies, "
       f"{len(patch.vpoints)} vertex/center points")
 
 print("\nsampled structural checks:")
-print(" ", coverage_check(samples=500, seed=1, depth=3))
-rep = invariance_freeness_checks(samples=200, seed=0, word_length=8)
+print(" ", coverage_check())
+rep = invariance_freeness_checks()
 print(f"  invariance {rep['invariance_checked']} images ok; freeness "
       f"{rep['freeness_samples']} samples ok, each at least "
       f"{rep['freeness_margin']:.2e} from every fixed point and mirror line; "
       f"transitivity {rep['transitivity_pairs']} pairs ok")
 
-fd = fundamental_domain_check(samples=100, seed=0, word_length=8)
+fd = fundamental_domain_check()
 print(f"\nfundamental-domain search over {fd['samples']} samples:")
 print(f"  every sample has a carrier into the closed star "
       f"(failures: {fd['existence_failures']})")
@@ -49,5 +50,5 @@ print(f"\ncarrier witness: tau_0^(-1)({z}) = {back:.4f} is "
       f"{point_location(back).kind} in the star")
 
 os.makedirs("demos/output", exist_ok=True)
-patch_scene(generate_patch(2)).write("demos/output/patch.svg")
+pathlib.Path("demos/output/patch.svg").write_text(patch_scene(generate_patch(2)).to_svg())
 print("wrote demos/output/patch.svg")

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .config import UsageError
-from .geometry import TOL_GEO, build_star, point_location, star_lines
+from .geometry import TOL_GEO, UsageError, build_star, point_location, star_lines
 from .quotient import edge_pairing
 
 

@@ -18,9 +18,8 @@ from . import billiards as bl
 from . import metric as mt
 from . import quotient as qt
 from . import svgout
-from .config import UsageError, load_settings
 from .conformal import SHEET_COUNT, F_T, SheetedPoint, compute_k, eta
-from .geometry import apothem, build_star
+from .geometry import UsageError, apothem, build_star
 
 
 def _finite(value: str) -> float:
@@ -52,11 +51,19 @@ def _c2l(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2)
     if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.json, text + "\n")
     else:
         print(text)
 
@@ -71,9 +78,9 @@ def cmd_star(args) -> int:
                    "edges": list(l.edge_ids)} for l in star.edge_lines],
         "apothem": apothem(),
     }
-    _emit(payload, args)
     if args.svg:
-        svgout.star_scene().write(args.svg)
+        _write(args.svg, svgout.star_scene().to_svg())
+    _emit(payload, args)
     return 0
 
 
@@ -89,10 +96,7 @@ def cmd_map(args) -> int:
         }
         _emit(payload, args)
     else:  # grid
-        if not args.svg:
-            print("map grid requires --svg", file=sys.stderr)
-            return 2
-        svgout.map_grid_scene(build_star(), args.n).write(args.svg)
+        _write(args.svg, svgout.map_grid_scene(build_star(), args.n).to_svg())
         _emit({"svg": args.svg, "n": args.n}, args)
     return 0
 
@@ -165,9 +169,9 @@ def cmd_billiard(args) -> int:
                       "kind": ev.kind} for ev in lifted.events],
             "development_residual": residual,
         }
-    _emit(payload, args)
     if args.svg:
-        svgout.trajectory_scene(traj).write(args.svg)
+        _write(args.svg, svgout.trajectory_scene(traj).to_svg())
+    _emit(payload, args)
     return 0
 
 
@@ -181,7 +185,7 @@ def cmd_tiling(args) -> int:
     }
     status = 0
     if args.check:
-        seed = args.settings.seed
+        seed = args.seed
         try:
             payload["coverage"] = tl.coverage_check(depth=args.depth, seed=seed + 1)
             payload["invariance_freeness"] = tl.invariance_freeness_checks(
@@ -191,9 +195,9 @@ def cmd_tiling(args) -> int:
         except tl.CheckFailure as exc:
             payload["check_failure"] = str(exc)
             status = 1
-    _emit(payload, args)
     if args.svg:
-        svgout.patch_scene(patch).write(args.svg)
+        _write(args.svg, svgout.patch_scene(patch).to_svg())
+    _emit(payload, args)
     return status
 
 
@@ -233,8 +237,7 @@ def cmd_verify(args) -> int:
     if slow:
         print(f"over runtime budget: {slow}")
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(ledger.to_json() + "\n")
+        _write(args.json, ledger.to_json() + "\n")
     return 0 if ledger.all_passed and not slow else 1
 
 
@@ -243,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="starsurf",
         description="Stellated-pentagon geometry, its ten-sheeted curve, "
                     "billiards, and the affine tiling model.")
-    parser.add_argument("--config", help="key=value settings file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("star", help="emit the star geometry")
@@ -290,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--svg")
     p.add_argument("--check", action="store_true")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled checks")
     p.add_argument("--json")
     p.set_defaults(func=cmd_tiling)
 
@@ -311,7 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.settings = load_settings(args.config)  # a bad config file is a usage error
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

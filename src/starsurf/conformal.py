@@ -37,8 +37,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .config import UsageError
-from .geometry import INNER_RADIUS, OUTER_RADIUS
+from .geometry import INNER_RADIUS, OUTER_RADIUS, UsageError
 
 A = INNER_RADIUS
 B = OUTER_RADIUS
@@ -91,11 +90,11 @@ def clog(z):
     return np.log(np.asarray(z, dtype=complex) + 0.0)
 
 
-def _check_regular(xi: complex, tol: float = 1e-13) -> complex:
+def _check_regular(xi: complex) -> complex:
     xi = complex(xi)
     for s in PREVERTICES:
-        if abs(xi - s) <= tol:
-            raise SingularFiber(f"xi = {xi} is within {tol} of the fiber over {s}")
+        if abs(xi - s) <= 1e-13:
+            raise SingularFiber(f"xi = {xi} is within 1e-13 of the fiber over {s}")
     if max(abs(xi.real), abs(xi.imag)) > XI_FAR:
         raise UsageError(f"xi = {xi} lies beyond the curve's bound |Re xi|, |Im xi| <= {XI_FAR:g}")
     return xi
@@ -415,15 +414,19 @@ def F_Q_inv(w: complex) -> complex:
     return continue_inverse(-1j if below else 1j, _ANCHOR.conjugate() if below else _ANCHOR, w)
 
 
-def corner_angle(prevertex: float, delta: float = 1e-4) -> float:
+#: the step along the real axis on either side of a prevertex in corner_angle
+CORNER_DELTA = 1e-4
+
+
+def corner_angle(prevertex: float) -> float:
     """Interior angle of the image corner at F_T(prevertex), by quadrature.
 
-    Measured between the image steps F_T(prevertex -/+ delta) - F_T(prevertex)
+    Measured between the image steps F_T(prevertex -/+ CORNER_DELTA) - F_T(prevertex)
     along the real axis, each integrated from the prevertex itself (path
     additivity), so no difference of two whole images loses digits.
     """
     from .quadrature import panel
     mu = MU.get(prevertex, 0.0)
-    v1 = panel(_inv_eta, prevertex, prevertex - delta, mu0=mu)
-    v2 = panel(_inv_eta, prevertex, prevertex + delta, mu0=mu)
+    v1 = panel(_inv_eta, prevertex, prevertex - CORNER_DELTA, mu0=mu)
+    v2 = panel(_inv_eta, prevertex, prevertex + CORNER_DELTA, mu0=mu)
     return abs(cmath.phase(v2 / v1))

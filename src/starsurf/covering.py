@@ -56,11 +56,6 @@ class SheetPermutation:
     def __call__(self, k: int) -> int:
         return self.images[k]
 
-    def compose(self, other: "SheetPermutation") -> "SheetPermutation":
-        """self after other."""
-        return SheetPermutation(tuple(self.images[other.images[k]]
-                                      for k in range(SHEET_COUNT)))
-
     @property
     def is_identity(self) -> bool:
         return self.images == tuple(range(SHEET_COUNT))
@@ -153,10 +148,10 @@ def monodromy(around: str | float, radius: float | None = None,
     return _continue_circle(center + r * np.exp(1j * (math.pi / 2 + 2 * math.pi * t)))
 
 
-def ramification_report(radius: float | None = None) -> list[BranchPointReport]:
+def ramification_report() -> list[BranchPointReport]:
     reports = []
     for name in ("0", "a", "b", "inf"):
-        perm = monodromy(name, radius=radius)
+        perm = monodromy(name)
         ct = perm.cycle_type()
         reports.append(BranchPointReport(
             point=name,
@@ -167,9 +162,7 @@ def ramification_report(radius: float | None = None) -> list[BranchPointReport]:
     return reports
 
 
-def total_ramification(reports: list[BranchPointReport] | None = None) -> int:
-    if reports is None:
-        reports = ramification_report()
+def total_ramification(reports: list[BranchPointReport]) -> int:
     return sum(r.ramification_index for r in reports)
 
 
@@ -180,7 +173,7 @@ def genus_from_total_ramification(r: int) -> int:
     return (r - 18) // 2
 
 
-def genus_riemann_hurwitz(reports: list[BranchPointReport] | None = None) -> int:
+def genus_riemann_hurwitz(reports: list[BranchPointReport]) -> int:
     return genus_from_total_ramification(total_ramification(reports))
 
 

@@ -94,6 +94,10 @@ R, U = Dihedral(2), Dihedral(0, 1)
 T = tuple(Dihedral(4 * m + 2, 1) for m in range(5))
 
 
+class UsageError(ValueError):
+    """Bad user input, such as a start outside the star; the CLI exits 2."""
+
+
 class PoleError(ValueError):
     """Stereographic projection evaluated at the excluded point [1:0]."""
 
@@ -213,32 +217,11 @@ class StarPolygon:
         i, j = self.edges[eid]
         return self.vertices[i], self.vertices[j]
 
-    def edge_direction(self, eid: int) -> complex:
-        p, q = self.edge_endpoints(eid)
-        return (q - p) / abs(q - p)
-
     def line_of_edge(self, eid: int) -> EdgeLine:
         for line in self.edge_lines:
             if eid in line.edge_ids:
                 return line
         raise KeyError(eid)
-
-    def quadrilaterals(self, kind: str = "conjugate") -> list[tuple[complex, ...]]:
-        """The five rotated kites whose union is K.
-
-        kind="conjugate": R^nu(T ∪ conj T), vertices (O, b e^{-i pi/5}, a, B).
-        kind="doubled":   R^nu(T ∪ reflect(T, OB)), vertices (O, a, B, a eps).
-        Both unions produce the same star.
-        """
-        A = complex(INNER_RADIUS, 0.0)
-        B = OUTER_RADIUS * cmath.exp(1j * math.pi / 5)
-        if kind == "conjugate":
-            base = (0.0 + 0.0j, B.conjugate(), A, B)
-        elif kind == "doubled":
-            base = (0.0 + 0.0j, A, B, EPSILON * A.conjugate())  # T_0(A)
-        else:
-            raise ValueError(f"unknown kite kind {kind!r}")
-        return [tuple(EPSILON ** nu * v for v in base) for nu in range(5)]
 
 
 @lru_cache(maxsize=1)

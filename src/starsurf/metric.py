@@ -36,9 +36,6 @@ class TangentVector:
         e = self.base.eta
         return f_prime(self.base.xi) / (10.0 * e ** 9) * self.d_xi
 
-    def scaled(self, c: complex) -> "TangentVector":
-        return TangentVector(self.base, c * self.d_xi)
-
 
 def gamma(v: complex, w: complex) -> float:
     """Euclidean inner product on the plane: Re(v * conj w)."""
@@ -65,16 +62,6 @@ def delta(p: SheetedPoint) -> complex:
     points are developed through the Schwarz reflection.
     """
     return F_Q(p.xi)
-
-
-def push_delta(p: SheetedPoint, v: TangentVector) -> complex:
-    """Differential of the developing map along the branch through p.
-
-    d z = k d xi / eta with eta the point's own branch value, so the unit
-    field pushes to d z = 1 on every sheet.
-    """
-    k = compute_k()
-    return k / p.eta * v.d_xi
 
 
 def chart(p: SheetedPoint) -> int:

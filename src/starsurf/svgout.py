@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from .geometry import build_star
 
+#: margin around the scene's tracked points in the viewBox
+PAD = 0.15
+
 
 class Scene:
-    def __init__(self, pad: float = 0.15):
-        self.pad = pad
+    def __init__(self):
         self.items: list[str] = []
         self._xs: list[float] = []
         self._ys: list[float] = []
@@ -53,17 +55,13 @@ class Scene:
     def to_svg(self) -> str:
         if not self._xs:
             self._xs, self._ys = [0.0, 1.0], [0.0, 1.0]
-        x0, x1 = min(self._xs) - self.pad, max(self._xs) + self.pad
-        y0, y1 = min(self._ys) - self.pad, max(self._ys) + self.pad
+        x0, x1 = min(self._xs) - PAD, max(self._xs) + PAD
+        y0, y1 = min(self._ys) - PAD, max(self._ys) + PAD
         w, h = x1 - x0, y1 - y0
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
                 f'viewBox="{x0:.6f} {-y1:.6f} {w:.6f} {h:.6f}" '
                 f'width="640" height="{640 * h / w:.0f}">')
         return "\n".join([head, *self.items, "</svg>"]) + "\n"
-
-    def write(self, path: str):
-        with open(path, "w") as fh:
-            fh.write(self.to_svg())
 
 
 def star_scene(with_lines=True) -> Scene:
@@ -100,8 +98,8 @@ def patch_scene(patch) -> Scene:
 
 def map_grid_scene(star, n) -> Scene:
     """Image under the triangle map of an upper-half-plane grid: one F_T call
-    on all 2 (n^2 - 1) points, sliced into n - 1 vertical then n - 1
-    horizontal polylines."""
+    on its (n + 1)^2 points, sliced into the n - 1 interior columns (vertical
+    polylines) then the n - 1 interior rows (horizontal)."""
     import numpy as np
 
     from .conformal import F_T
@@ -113,7 +111,7 @@ def map_grid_scene(star, n) -> Scene:
     k = np.arange(n + 1)
     xs, ys = -0.5 + 3.0 * k / n, 0.02 + 1.8 * k / n
     grid = xs[:, None] + 1j * ys[None, :]  # grid[i, j] = x_i + i y_j
-    images = F_T(np.concatenate((grid[1:n], grid.T[1:n]))).tolist()
-    for m, pts in enumerate(images):
+    images = F_T(grid)
+    for m, pts in enumerate((*images[1:n].tolist(), *images.T[1:n].tolist())):
         sc.polyline(pts, stroke="#4a6a9a" if m < n - 1 else "#9a6a4a", width=0.004)
     return sc

@@ -36,9 +36,8 @@ from operator import add
 
 import numpy as np
 
-from .config import UsageError
-from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, Dihedral, R, U, build_star,
-                       locate_kinds, point_location)
+from .geometry import (CENTER, EPSILON, EXTERIOR, INTERIOR, Dihedral, R, U, UsageError,
+                       build_star, locate_kinds, point_location)
 from .quotient import edge_pairing
 
 
@@ -46,6 +45,15 @@ from .quotient import edge_pairing
 #: OUTER_RADIUS = phi ~ 1.618 plus TOL_GEO, so no point within TOL_GEO of the
 #: closed star is rejected
 REJECT_RADIUS = 1.7
+
+#: the sampled checks' fixed sizes: coverage samples, samples of the other
+#: two checks, the word ball's length, the elements drawn from it by the
+#: invariance check, and the radius of the disk the samples are drawn in
+COVERAGE_SAMPLES = 500
+CHECK_SAMPLES = 200
+WORD_LENGTH = 8
+ELEMENT_SAMPLE = 40
+DISK_RADIUS = 0.9
 
 
 class CheckFailure(AssertionError):
@@ -116,9 +124,9 @@ class TilingPatch:
     vpoints: tuple[complex, ...]
 
 
-def _lattice_words(depth: int, include_inverses: bool = True) -> np.ndarray:
+def _lattice_words(depth: int) -> np.ndarray:
     """int8 rows (l_0..l_4) with sum |l_k| <= depth, in lexicographic order."""
-    letters = np.arange(-depth if include_inverses else 0, depth + 1, dtype=np.int8)
+    letters = np.arange(-depth, depth + 1, dtype=np.int8)
     words = np.zeros((1, 0), dtype=np.int8)
     for _ in range(5):
         words = np.column_stack([np.repeat(words, len(letters), axis=0),
@@ -150,12 +158,11 @@ BASE_WORDS = ((0,) * 5,) + tuple(Dihedral(2 * k).word(w) for k in range(5)
 
 
 @lru_cache(maxsize=2)  # the patch's ball and the checks' ball
-def _translation_values(word_length: int, include_inverses: bool = True
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _translation_values(word_length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (values, costs, (5, n) words) of the word ball's distinct
     translations: each key's least cost and shortest word (lexicographically
     first on ties), in the order of each key's first word.  Cached."""
-    words = _lattice_words(word_length, include_inverses)
+    words = _lattice_words(word_length)
     costs = np.abs(words).sum(axis=1)
     # key digits lie in -2 L..2 L, so their base 4 L + 1 codes are unique
     codes = (words[:, :4] - words[:, 4:]) @ (4 * word_length + 1) ** np.arange(4)
@@ -170,13 +177,13 @@ def _translation_values(word_length: int, include_inverses: bool = True
 
 
 @lru_cache(maxsize=2)
-def generate_patch(depth: int, include_inverses: bool = True) -> TilingPatch:
+def generate_patch(depth: int) -> TilingPatch:
     """Patch of build_star() copies; its vertices are the BASE_WORDS.  Cached."""
     if depth < 0:
         raise UsageError("depth must be nonnegative")
     if depth > 6:
         raise UsageError("desk-scale patches stop at depth 6")
-    values, _costs, words = _translation_values(depth, include_inverses)
+    values, _costs, words = _translation_values(depth)
     items = sorted(zip(values.tolist(), zip(*words.tolist())),
                    key=lambda cw: (abs(cw[0]), cw[0].real, cw[0].imag))
     centers, words = zip(*items)
@@ -188,12 +195,6 @@ def generate_patch(depth: int, include_inverses: bool = True) -> TilingPatch:
             vset[_key(tuple(map(add, word, vword)))] = c + v
     vpoints = tuple(sorted(vset.values(), key=lambda p: (abs(p), p.real, p.imag)))
     return TilingPatch(depth=depth, centers=centers, words=words, vpoints=vpoints)
-
-
-def copies_containing(z: complex, patch: TilingPatch) -> list[int]:
-    """Indices of patch copies whose closed star contains z."""
-    inside = _in_copies([z], np.array(patch.centers))[0]
-    return np.flatnonzero(inside[0]).tolist()
 
 
 def _in_copies(zs, centers: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -228,19 +229,19 @@ def _samples(rng: random.Random, n: int, half_width: float, vpoints,
     return zs[(np.abs(zs) <= radius) & (_nearest(zs, vpoints, 2e-6) >= 1e-6)]
 
 
-def _draw_elements(rng: random.Random, word_length: int,
-                   count: int) -> list[MotionGroupElement]:
-    """The first count nonidentity elements of a shuffle of the (R^j U^ell, t)
-    with rotation, reflection and translation letters <= L, listed by (j, ell)
-    then ball order.  Shuffling their indices is the same permutation."""
-    _values, costs, words = _translation_values(word_length)
+def _draw_elements(rng: random.Random) -> list[MotionGroupElement]:
+    """The first ELEMENT_SAMPLE nonidentity elements of a shuffle of the
+    (R^j U^ell, t) with rotation, reflection and translation letters <=
+    WORD_LENGTH, listed by (j, ell) then ball order.  Shuffling their indices
+    is the same permutation."""
+    _values, costs, words = _translation_values(WORD_LENGTH)
     letters = np.array([[min(j, 5 - j) + ell for ell in (0, 1)] for j in range(5)])
-    js, ells, members = np.nonzero(costs <= word_length - letters[:, :, None])
+    js, ells, members = np.nonzero(costs <= WORD_LENGTH - letters[:, :, None])
     order = list(range(len(js)))
     rng.shuffle(order)
     ball = (MotionGroupElement(int(js[n]), int(ells[n]), tuple(words[:, members[n]].tolist()))
             for n in order)
-    return list(islice((g for g in ball if g != MotionGroupElement()), count))
+    return list(islice((g for g in ball if g != MotionGroupElement()), ELEMENT_SAMPLE))
 
 
 def _fixed_set_distances(zs: np.ndarray, ball) -> np.ndarray:
@@ -263,9 +264,7 @@ def _fixed_set_distances(zs: np.ndarray, ball) -> np.ndarray:
     return np.minimum(dist, _nearest(zs, centers, dist))
 
 
-def invariance_freeness_checks(samples: int = 200, seed: int = 0,
-                               word_length: int = 8, depth: int = 3,
-                               element_sample: int = 40) -> dict:
+def invariance_freeness_checks(seed: int = 0, depth: int = 3) -> dict:
     """Sampled invariance, freeness, and transitivity checks.
 
     - invariance: group images of sampled vpoints stay in the (enlarged)
@@ -280,7 +279,7 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     rng = random.Random(seed)
     patch = generate_patch(depth)
 
-    elements = _draw_elements(rng, word_length, element_sample)
+    elements = _draw_elements(rng)
 
     # V+ membership with an exact witness: a vpoint is a lattice word plus a
     # base vertex word, the group acts on both by the index laws, so the
@@ -293,7 +292,7 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
         raise CheckFailure("base vertex set is not symmetric")
 
     vsamples = [(rng.randrange(len(patch.centers)), rng.randrange(len(base_vertices)))
-                for _ in range(samples)]
+                for _ in range(CHECK_SAMPLES)]
     vs = np.array([patch.centers[ci] + base_vertices[bi] for ci, bi in vsamples])
     vwords = np.array([tuple(map(add, patch.words[ci], BASE_WORDS[bi]))
                        for ci, bi in vsamples]).reshape(-1, 5).T
@@ -305,14 +304,14 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
             raise CheckFailure(f"invariance: {g} maps vpoint {vs[bad[0]]} to "
                                f"{images[bad[0]]}, not a V+ point")
 
-    zs = _samples(rng, samples, 1.2, patch.vpoints)
-    margins = _fixed_set_distances(zs, _translation_values(word_length))
+    zs = _samples(rng, CHECK_SAMPLES, 1.2, patch.vpoints)
+    margins = _fixed_set_distances(zs, _translation_values(WORD_LENGTH))
     if margins.min(initial=np.inf) < 1e-12:
         raise CheckFailure(f"freeness: {zs[margins.argmin()]} lies on a fixed set")
 
     # transitivity: translation word between sampled copy pairs
     pairs = [(rng.randrange(len(patch.centers)), rng.randrange(len(patch.centers)))
-             for _ in range(min(samples, 50))]
+             for _ in range(50)]
     for i0, i1 in pairs:
         w0, w1 = patch.words[i0], patch.words[i1]
         word = tuple(b - a for a, b in zip(w0, w1))
@@ -335,9 +334,7 @@ def invariance_freeness_checks(samples: int = 200, seed: int = 0,
     }
 
 
-def fundamental_domain_check(samples: int = 200, seed: int = 0,
-                             word_length: int = 8, depth: int = 3,
-                             disk_radius: float = 0.9) -> dict:
+def fundamental_domain_check(seed: int = 0, depth: int = 3) -> dict:
     """Carrier search into the closed star for sampled plane points.
 
     For each sample z (off the vertex set) every rotation-translation
@@ -353,12 +350,12 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
     interior images; interior_unique counts the samples with exactly one.
     """
     rng = random.Random(seed)
-    values = _translation_values(word_length)[0]
+    values = _translation_values(WORD_LENGTH)[0]
     # a candidate z + t within REJECT_RADIUS has |t| <= REJECT_RADIUS + |z|
-    translations = values[np.abs(values) <= REJECT_RADIUS + disk_radius]
+    translations = values[np.abs(values) <= REJECT_RADIUS + DISK_RADIUS]
     pairing = edge_pairing()
 
-    zs = _samples(rng, samples, disk_radius, generate_patch(depth).vpoints, disk_radius)
+    zs = _samples(rng, CHECK_SAMPLES, DISK_RADIUS, generate_patch(depth).vpoints, DISK_RADIUS)
     existence_fail = []
     multiplicities = []
     candidates = near_boundary = 0
@@ -405,8 +402,7 @@ def fundamental_domain_check(samples: int = 200, seed: int = 0,
 COVERAGE_CHUNK = 25
 
 
-def coverage_check(samples: int = 500, seed: int = 1, depth: int = 3,
-                   disk_radius: float = 0.9) -> dict:
+def coverage_check(seed: int = 1, depth: int = 3) -> dict:
     """Sampled points of the disk (away from V+) land in >= 1 star copy.
     The samples are drawn first, then classified against every patch copy
     COVERAGE_CHUNK at a time; candidates and near_boundary count as in
@@ -414,9 +410,9 @@ def coverage_check(samples: int = 500, seed: int = 1, depth: int = 3,
     rng = random.Random(seed)
     patch = generate_patch(depth)
     zs = np.empty(0, dtype=complex)
-    while len(zs) < samples:  # drawing only the missing ones stops at the last sample
-        zs = np.concatenate([zs, _samples(rng, samples - len(zs), disk_radius, patch.vpoints,
-                                          disk_radius)])
+    while len(zs) < COVERAGE_SAMPLES:  # drawing only the missing ones stops at the last sample
+        zs = np.concatenate([zs, _samples(rng, COVERAGE_SAMPLES - len(zs), DISK_RADIUS,
+                                          patch.vpoints, DISK_RADIUS)])
     centers = np.array(patch.centers)
     misses = []
     candidates = near_boundary = 0

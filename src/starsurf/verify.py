@@ -221,8 +221,8 @@ def check_genus_twice() -> CheckResult:
 # ---------------------------------------------------------------- criterion 7
 
 @_check("flat_metric_dynamics")
-def check_isometry_straightening(seed: int = 11) -> CheckResult:
-    rng = random.Random(seed)
+def check_isometry_straightening() -> CheckResult:
+    rng = random.Random(11)
     res_unit = 0.0
     for _ in range(100):
         p = SheetedPoint(complex(rng.uniform(0.1, 1.9), rng.uniform(0.15, 1.4)),
@@ -260,8 +260,8 @@ def check_isometry_straightening(seed: int = 11) -> CheckResult:
 # ---------------------------------------------------------------- criterion 8
 
 @_check("billiards")
-def check_billiards(seed: int = 5) -> CheckResult:
-    rng = random.Random(seed)
+def check_billiards() -> CheckResult:
+    rng = random.Random(5)
 
     res_invol = 0.0
     for _ in range(50):
@@ -389,7 +389,7 @@ def check_commutation() -> CheckResult:
 @_check("affine_tiling")
 def check_coverage() -> CheckResult:
     try:
-        rep = tl.coverage_check(samples=500, seed=1, depth=3)
+        rep = tl.coverage_check()
         ok, measured = True, f"{rep['tested']} points covered"
     except tl.CheckFailure as exc:
         ok, measured = False, str(exc)
@@ -400,7 +400,7 @@ def check_coverage() -> CheckResult:
 @_check("affine_tiling")
 def check_invariance_freeness() -> CheckResult:
     try:
-        rep = tl.invariance_freeness_checks(samples=200, seed=0, word_length=8)
+        rep = tl.invariance_freeness_checks()
         ok = True
         measured = (f"invariance {rep['invariance_checked']} images, freeness "
                     f"{rep['freeness_samples']} samples, transitivity "
@@ -416,7 +416,7 @@ def check_invariance_freeness() -> CheckResult:
 @functools.lru_cache(maxsize=1)
 def _carrier_search() -> dict:
     """The carrier search that 10e runs and 10f reads; run_verify empties it."""
-    return tl.fundamental_domain_check(samples=200, seed=0, word_length=8)
+    return tl.fundamental_domain_check()
 
 
 @_check("affine_tiling")

@@ -193,52 +193,20 @@ def test_verify_full_run_reports_known_failures(tmp_path, capsys):
             assert e["note"]
 
 
-def test_config_file_round_trip(tmp_path, capsys):
-    cfg = tmp_path / "starsurf.cfg"
-    cfg.write_text("# settings\nseed = 7\n")
-    code, _ = run(capsys, "--config", str(cfg), "map", "eval", "--xi", "0.2,0.5")
-    assert code == 0
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no_such_key = 1\n")
-    code, _ = run(capsys, "--config", str(cfg), "map", "eval", "--xi", "0.2,0.5")
-    assert code == 2
-
-
-# these keys once steered a rule or a tolerance that is gone; setting one now
-# fails loudly (no user path runs quadrature since the map has a closed form)
-@pytest.mark.parametrize("line", ["tol_geo = 1e-9", "tol_map = 1e-8", "quad_kind = tanh-sinh",
-                                  "quad_nodes = 32", "quad_target = 1e-13"],
-                         ids=["tol_geo", "tol_map", "quad_kind", "quad_nodes", "quad_target"])
-def test_removed_config_keys_are_unknown(tmp_path, capsys, line):
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text(line + "\n")
-    code = main(["--config", str(cfg), "map", "eval", "--xi", "0.2,0.5"])
-    assert code == 2
-    assert "unknown config key" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("z0", ["5,5", "0,0"])
 def test_billiard_bad_start_is_a_usage_error(capsys, z0):
     code, _ = run(capsys, "billiard", "--z0", z0, "--theta", "0")
     assert code == 2
 
 
-@pytest.mark.parametrize("config, argv", [
-    ("seed = abc", ["map", "eval", "--xi", "0.2,0.5"]),
-    ("quad_nodes = 2", ["map", "eval", "--xi", "0.2,0.5"]),
-    ("", ["map", "eval", "--xi", "0.6180339887498949,0"]),  # the fiber over a
-    ("", ["tiling", "--depth", "9"]),
-    ("", ["map", "eval", "--xi", "1e200,0"]),  # eta overflows past the far bound
-    ("", ["map", "eval", "--xi", "0,1e155"]),
-], ids=["config-cast", "config-range", "singular-fiber", "tiling-depth", "far-xi-real",
-        "far-xi-imag"])
-def test_bad_input_is_a_usage_error(tmp_path, capsys, config, argv):
-    cfg = tmp_path / "starsurf.cfg"
-    cfg.write_text(config + "\n")
-    code = main(["--config", str(cfg), *argv])
+@pytest.mark.parametrize("argv", [
+    ["map", "eval", "--xi", "0.6180339887498949,0"],  # the fiber over a
+    ["tiling", "--depth", "9"],
+    ["map", "eval", "--xi", "1e200,0"],  # eta overflows past the far bound
+    ["map", "eval", "--xi", "0,1e155"],
+], ids=["singular-fiber", "tiling-depth", "far-xi-real", "far-xi-imag"])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code = main(argv)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -246,24 +214,33 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, config, argv):
 @pytest.mark.parametrize("argv", [
     ["star"], ["quotient"], ["genus"], ["verify"], ["tiling"],
     ["billiard", "--z0", "0.1,0.1", "--theta", "0"], ["map", "eval", "--xi", "1,1"],
-    ["flow", "--xi", "1.1,0.9", "--t", "0.01"],
-], ids=lambda argv: argv[0] if argv[0] != "map" else "map-eval")
-def test_unreadable_config_is_a_usage_error(tmp_path, capsys, argv):
-    # every command reads --config, before it runs
-    for path in (tmp_path / "missing.cfg", tmp_path):
-        assert main(["--config", str(path), *argv]) == 2
+    ["map", "grid", "--n", "2", "--svg", os.devnull], ["flow", "--xi", "1.1,0.9", "--t", "0.01"],
+    ["star", "--svg"],
+], ids=["star", "quotient", "genus", "verify", "tiling", "billiard", "map-eval", "map-grid",
+        "flow", "star-svg"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    # a missing directory, and a directory in place of the file; only verify
+    # prints (its ledger lines) before it writes
+    for path in (tmp_path / "missing" / "out", tmp_path):
+        args = [*argv, str(path)] if argv[-1] == "--svg" else [*argv, "--json", str(path)]
+        assert main(args) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: cannot read the config file") and not captured.out
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1 and (argv[0] == "verify" or not captured.out)
 
 
-def test_tiling_check_reads_the_config_seed(tmp_path, capsys):
+def test_tiling_check_reads_the_config_seed(capsys):
+    # the sampled checks' seed is set by --seed; coverage reads seed + 1
     from starsurf import tiling
-    cfg = tmp_path / "seed.cfg"
-    cfg.write_text("seed = 3\n")
-    code, out = run(capsys, "--config", str(cfg), "tiling", "--depth", "2", "--check")
+    code, out = run(capsys, "tiling", "--depth", "2", "--check", "--seed", "3")
     assert code == 0
-    assert json.loads(out)["fundamental_domain"] == tiling.fundamental_domain_check(
-        seed=3, depth=2)
+    payload = json.loads(out)
+    assert payload["fundamental_domain"] == tiling.fundamental_domain_check(seed=3, depth=2)
+    assert payload["invariance_freeness"] == tiling.invariance_freeness_checks(seed=3, depth=2)
+    assert payload["coverage"] == tiling.coverage_check(seed=4, depth=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["tiling", "--check", "--seed", "abc"])
+    assert exc.value.code == 2
 
 
 def test_usage_error_exit_code(capsys):

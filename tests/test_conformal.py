@@ -12,8 +12,7 @@ from starsurf.conformal import (BRANCH_PHASE, CORNERS, KITE_CORNERS, MU, P, P_IN
                                 SheetedPoint, SingularFiber, _inv_eta, _series_tables,
                                 compute_k, corner_angle, eta, eta_ref, f, f_prime)
 from starsurf import conformal
-from starsurf.config import UsageError
-from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS, build_triangle
+from starsurf.geometry import INNER_RADIUS, OUTER_RADIUS, UsageError, build_triangle
 from starsurf.quadrature import QuadratureRule, _jacobi_nodes, _panel_gj, clog, contour, panel
 
 A, B = INNER_RADIUS, OUTER_RADIUS

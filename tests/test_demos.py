@@ -12,9 +12,10 @@ DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # the demos write to a relative demos/output, here under tmp_path
+    # the demos write to a relative demos/output, here under tmp_path; a
+    # warning fails the demo, as it fails a test
     path = [str(pathlib.Path(starsurf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

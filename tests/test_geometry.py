@@ -175,10 +175,21 @@ def test_star_apothem_distance():
         assert abs(line.distance(0) - 0.5) < 1e-14
 
 
+def _kites(kind: str) -> list[tuple[complex, ...]]:
+    """The five rotated kites whose union is K.
+
+    kind="conjugate": R^nu(T ∪ conj T), vertices (O, b e^{-i pi/5}, a, B).
+    kind="doubled":   R^nu(T ∪ reflect(T, OB)), vertices (O, a, B, a eps).
+    """
+    A = complex(INNER_RADIUS, 0.0)
+    B = OUTER_RADIUS * cmath.exp(1j * math.pi / 5)
+    base = {"conjugate": (0j, B.conjugate(), A, B), "doubled": (0j, A, B, EPSILON * A)}[kind]
+    return [tuple(EPSILON ** nu * v for v in base) for nu in range(5)]
+
+
 @pytest.mark.parametrize("kind", ["conjugate", "doubled"])
 def test_star_equals_union_of_kites(kind):
-    star = build_star()
-    kites = star.quadrilaterals(kind)
+    kites = _kites(kind)
     rng = random.Random(9)
     for _ in range(400):
         z = complex(rng.uniform(-1.7, 1.7), rng.uniform(-1.7, 1.7))
@@ -197,7 +208,7 @@ def test_doubled_kite_matches_reflected_triangle():
     image = _mirror(tri.A, math.pi / 5)
     assert abs(image - INNER_RADIUS * EPSILON) < 1e-14
     # the doubled kite's fourth vertex is A mirrored across OB
-    assert abs(build_star().quadrilaterals("doubled")[0][3] - image) < 1e-14
+    assert abs(_kites("doubled")[0][3] - image) < 1e-14
 
 
 def test_build_star_deterministic():

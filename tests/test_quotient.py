@@ -201,6 +201,6 @@ def test_gauss_bonnet_on_the_double_census():
 
 
 def test_genus_matches_riemann_hurwitz():
-    from starsurf.covering import genus_riemann_hurwitz
+    from starsurf.covering import genus_riemann_hurwitz, ramification_report
     _chi, genus, _meta = quotient_euler_genus()
-    assert genus == genus_riemann_hurwitz() == 4
+    assert genus == genus_riemann_hurwitz(ramification_report()) == 4

@@ -14,9 +14,8 @@ from starsurf.geometry import (CENTER, EPSILON, EXTERIOR, INNER_RADIUS, INTERIOR
 from starsurf.quotient import edge_pairing
 from starsurf.tiling import (BASE_WORDS, REJECT_RADIUS, CheckFailure,
                              MotionGroupElement, _draw_elements,
-                             _fixed_set_distances, _key, _lattice_words,
-                             _samples, _translation_values, _word_value,
-                             copies_containing, coverage_check,
+                             _fixed_set_distances, _in_copies, _key, _lattice_words,
+                             _samples, _translation_values, _word_value, coverage_check,
                              fundamental_domain_check, generate_patch,
                              invariance_freeness_checks, multiply, reflection,
                              tau)
@@ -220,13 +219,17 @@ def test_coverage_of_disk():
 
 
 def test_copies_containing_origin_region():
+    # the copies whose closed star holds z, against point_location copy by copy
     patch = generate_patch(1)
-    assert 0 in copies_containing(0.1 + 0.1j, patch)
-    assert copies_containing(0.97 * cmath.exp(1j * 0.9), patch)
+    zs = [0.1 + 0.1j, 0.97 * cmath.exp(1j * 0.9)]
+    inside = _in_copies(zs, np.array(patch.centers))[0]
+    assert inside[0, 0] and inside[1].any()
+    for z, row in zip(zs, inside.tolist()):
+        assert row == [point_location(z - c).kind != "exterior" for c in patch.centers]
 
 
 def test_invariance_freeness_transitivity():
-    report = invariance_freeness_checks(samples=120, seed=0, word_length=6)
+    report = invariance_freeness_checks()
     assert report["invariance_checked"] > 0
     assert report["freeness_samples"] > 0
     assert report["orbit_min_gap"] > 1e-9
@@ -301,7 +304,7 @@ def test_freeness_margin_ledger_figure():
 
 
 def test_fundamental_domain_existence_and_multiplicity():
-    report = fundamental_domain_check(samples=60, seed=0, word_length=6)
+    report = fundamental_domain_check()
     assert report["existence_failures"] == 0
     assert report["boundary_pairs_checked"] == 10
     # non-discreteness shows up as multiple interior carriers
@@ -346,7 +349,7 @@ def test_fundamental_domain_check_matches_the_five_rotation_search():
         assert carriers > 0, z
         multiplicities.append(5 * interior)
         candidates += 5 * size
-    report = fundamental_domain_check(samples=200, seed=0, word_length=8)
+    report = fundamental_domain_check()
     assert report["existence_failures"] == 0
     assert report["samples"] == len(multiplicities) == 151
     assert report["interior_unique"] == multiplicities.count(1)
@@ -396,7 +399,7 @@ def _shuffled_list_draw(rng):
 
 def test_element_draw_by_index_matches_the_shuffled_list():
     fast, slow = random.Random(0), random.Random(0)
-    drawn = _draw_elements(fast, 8, 40)
+    drawn = _draw_elements(fast)
     expected = _shuffled_list_draw(slow)
     assert [(g.j, g.ell, g.word) for g in drawn] == [(g.j, g.ell, g.word) for g in expected]
     assert all(type(n) is int for g in drawn for n in (g.j, g.ell) + g.word)
@@ -484,39 +487,37 @@ def test_translation_ball_has_6661_points():
                for t, cost, w in translations)
 
 
-def _product_ball(depth, include_inverses=True):
+def _product_ball(depth):
     """The word ball in lexicographic order, filtered from the full product."""
-    letters = range(-depth if include_inverses else 0, depth + 1)
+    letters = range(-depth, depth + 1)
     return [w for w in itertools.product(letters, repeat=5) if sum(map(abs, w)) <= depth]
 
 
 def test_lattice_words_are_the_lexicographic_ball():
     for depth in range(4):
-        for include_inverses in (True, False):
-            words = _lattice_words(depth, include_inverses)
-            assert words.dtype == np.int8
-            assert list(map(tuple, words.tolist())) == _product_ball(depth, include_inverses)
+        words = _lattice_words(depth)
+        assert words.dtype == np.int8
+        assert list(map(tuple, words.tolist())) == _product_ball(depth)
 
 
 def test_translation_values_match_the_product_oracle():
     # the scalar oracle: a key keeps its first word of least cost, at the
     # position where the key first occurs in lexicographic order
     for depth in range(6):
-        for include_inverses in (True, False):
-            best = {}
-            for w in _product_ball(depth, include_inverses):
-                old = best.get(_key(w))
-                if old is None or sum(map(abs, w)) < sum(map(abs, old)):
-                    best[_key(w)] = w
-            ball = _translation_values(depth, include_inverses)
-            assert ball[1].dtype == ball[2].dtype == np.dtype(int)
-            values, costs, words = zip(*_triples(ball))
-            assert words == tuple(best.values())
-            assert [_key(w) for w in words] == list(best)
-            assert list(costs) == [sum(map(abs, w)) for w in words]
-            assert all(type(c) is int and type(w[0]) is int for c, w in zip(costs, words))
-            # bit-identical values, signed zeros included
-            assert list(map(repr, values)) == [repr(_word_value(w)) for w in words]
+        best = {}
+        for w in _product_ball(depth):
+            old = best.get(_key(w))
+            if old is None or sum(map(abs, w)) < sum(map(abs, old)):
+                best[_key(w)] = w
+        ball = _translation_values(depth)
+        assert ball[1].dtype == ball[2].dtype == np.dtype(int)
+        values, costs, words = zip(*_triples(ball))
+        assert words == tuple(best.values())
+        assert [_key(w) for w in words] == list(best)
+        assert list(costs) == [sum(map(abs, w)) for w in words]
+        assert all(type(c) is int and type(w[0]) is int for c, w in zip(costs, words))
+        # bit-identical values, signed zeros included
+        assert list(map(repr, values)) == [repr(_word_value(w)) for w in words]
 
 
 def test_translation_values_are_cached_and_read_only():
